@@ -431,87 +431,108 @@ func (s *Snapshot) Validate() error {
 		}
 	}
 	jobs := make(map[string]bool, len(s.Jobs))
-	for i, j := range s.Jobs {
-		if j.ID == "" {
-			return fmt.Errorf("api: job %d has empty id", i)
-		}
-		if jobs[j.ID] {
+	for i := range s.Jobs {
+		j := &s.Jobs[i]
+		if j.ID != "" && jobs[j.ID] {
 			return fmt.Errorf("api: duplicate job %q", j.ID)
 		}
 		jobs[j.ID] = true
-		switch j.State {
-		case JobPending, JobSuspended:
-			if j.Node != "" {
-				return fmt.Errorf("api: %s job %q names a node", j.State, j.ID)
-			}
-		case JobRunning:
-			if j.Node == "" {
-				return fmt.Errorf("api: running job %q has no node", j.ID)
-			}
-		default:
-			return fmt.Errorf("api: job %q unknown state %q", j.ID, j.State)
-		}
-		if !finite(j.RemainingMHzs) || j.RemainingMHzs <= 0 {
-			return fmt.Errorf("api: job %q remainingMHzs %v", j.ID, j.RemainingMHzs)
-		}
-		if !finite(j.MaxSpeedMHz) || j.MaxSpeedMHz <= 0 {
-			return fmt.Errorf("api: job %q maxSpeedMHz %v", j.ID, j.MaxSpeedMHz)
-		}
-		if j.MemMB < 0 {
-			return fmt.Errorf("api: job %q memMB %d", j.ID, j.MemMB)
-		}
-		if !finite(j.ShareMHz) || j.ShareMHz < 0 {
-			return fmt.Errorf("api: job %q shareMHz %v", j.ID, j.ShareMHz)
-		}
-		if !finite(j.GoalSec) || !finite(j.SubmittedSec) {
-			return fmt.Errorf("api: job %q non-finite goal/submitted", j.ID)
-		}
-		if err := j.Utility.validate(); err != nil {
-			return fmt.Errorf("api: job %q: %w", j.ID, err)
+		if err := j.validate(i); err != nil {
+			return err
 		}
 	}
 	apps := make(map[string]bool, len(s.Apps))
-	for i, a := range s.Apps {
-		if a.ID == "" {
-			return fmt.Errorf("api: app %d has empty id", i)
-		}
-		if apps[a.ID] {
+	for i := range s.Apps {
+		a := &s.Apps[i]
+		if a.ID != "" && apps[a.ID] {
 			return fmt.Errorf("api: duplicate app %q", a.ID)
 		}
 		apps[a.ID] = true
-		if !finite(a.Lambda) || a.Lambda < 0 {
-			return fmt.Errorf("api: app %q lambda %v", a.ID, a.Lambda)
+		if err := a.validate(i); err != nil {
+			return err
 		}
-		if !finite(a.RTGoalSec) || a.RTGoalSec <= 0 {
-			return fmt.Errorf("api: app %q rtGoalSec %v", a.ID, a.RTGoalSec)
+	}
+	return nil
+}
+
+// validate checks one job's own fields — everything Validate checks of
+// a job except that its ID is unique. i is its position, for the error
+// that cannot name it.
+func (j *Job) validate(i int) error {
+	if j.ID == "" {
+		return fmt.Errorf("api: job %d has empty id", i)
+	}
+	switch j.State {
+	case JobPending, JobSuspended:
+		if j.Node != "" {
+			return fmt.Errorf("api: %s job %q names a node", j.State, j.ID)
 		}
-		if err := a.Model.validate(); err != nil {
-			return fmt.Errorf("api: app %q: %w", a.ID, err)
+	case JobRunning:
+		if j.Node == "" {
+			return fmt.Errorf("api: running job %q has no node", j.ID)
 		}
-		if err := a.Utility.validate(); err != nil {
-			return fmt.Errorf("api: app %q: %w", a.ID, err)
+	default:
+		return fmt.Errorf("api: job %q unknown state %q", j.ID, j.State)
+	}
+	if !finite(j.RemainingMHzs) || j.RemainingMHzs <= 0 {
+		return fmt.Errorf("api: job %q remainingMHzs %v", j.ID, j.RemainingMHzs)
+	}
+	if !finite(j.MaxSpeedMHz) || j.MaxSpeedMHz <= 0 {
+		return fmt.Errorf("api: job %q maxSpeedMHz %v", j.ID, j.MaxSpeedMHz)
+	}
+	if j.MemMB < 0 {
+		return fmt.Errorf("api: job %q memMB %d", j.ID, j.MemMB)
+	}
+	if !finite(j.ShareMHz) || j.ShareMHz < 0 {
+		return fmt.Errorf("api: job %q shareMHz %v", j.ID, j.ShareMHz)
+	}
+	if !finite(j.GoalSec) || !finite(j.SubmittedSec) {
+		return fmt.Errorf("api: job %q non-finite goal/submitted", j.ID)
+	}
+	if err := j.Utility.validate(); err != nil {
+		return fmt.Errorf("api: job %q: %w", j.ID, err)
+	}
+	return nil
+}
+
+// validate checks one application's own fields — everything Validate
+// checks of an app except that its ID is unique.
+func (a *App) validate(i int) error {
+	if a.ID == "" {
+		return fmt.Errorf("api: app %d has empty id", i)
+	}
+	if !finite(a.Lambda) || a.Lambda < 0 {
+		return fmt.Errorf("api: app %q lambda %v", a.ID, a.Lambda)
+	}
+	if !finite(a.RTGoalSec) || a.RTGoalSec <= 0 {
+		return fmt.Errorf("api: app %q rtGoalSec %v", a.ID, a.RTGoalSec)
+	}
+	if err := a.Model.validate(); err != nil {
+		return fmt.Errorf("api: app %q: %w", a.ID, err)
+	}
+	if err := a.Utility.validate(); err != nil {
+		return fmt.Errorf("api: app %q: %w", a.ID, err)
+	}
+	if a.InstanceMemMB < 0 {
+		return fmt.Errorf("api: app %q instanceMemMB %d", a.ID, a.InstanceMemMB)
+	}
+	if !finite(a.MaxPerInstanceMHz) || a.MaxPerInstanceMHz < 0 {
+		return fmt.Errorf("api: app %q maxPerInstanceMHz %v", a.ID, a.MaxPerInstanceMHz)
+	}
+	if a.MinInstances < 0 || a.MaxInstances < 0 {
+		return fmt.Errorf("api: app %q negative instance bounds", a.ID)
+	}
+	if math.IsNaN(float64(a.MeasuredRTSec)) || a.MeasuredRTSec < 0 {
+		return fmt.Errorf("api: app %q measuredRTSec %v", a.ID, float64(a.MeasuredRTSec))
+	}
+	seen := make(map[string]bool, len(a.Instances))
+	for _, inst := range a.Instances {
+		if inst.Node == "" || seen[inst.Node] {
+			return fmt.Errorf("api: app %q empty or duplicate instance node %q", a.ID, inst.Node)
 		}
-		if a.InstanceMemMB < 0 {
-			return fmt.Errorf("api: app %q instanceMemMB %d", a.ID, a.InstanceMemMB)
-		}
-		if !finite(a.MaxPerInstanceMHz) || a.MaxPerInstanceMHz < 0 {
-			return fmt.Errorf("api: app %q maxPerInstanceMHz %v", a.ID, a.MaxPerInstanceMHz)
-		}
-		if a.MinInstances < 0 || a.MaxInstances < 0 {
-			return fmt.Errorf("api: app %q negative instance bounds", a.ID)
-		}
-		if math.IsNaN(float64(a.MeasuredRTSec)) || a.MeasuredRTSec < 0 {
-			return fmt.Errorf("api: app %q measuredRTSec %v", a.ID, float64(a.MeasuredRTSec))
-		}
-		seen := make(map[string]bool, len(a.Instances))
-		for _, inst := range a.Instances {
-			if inst.Node == "" || seen[inst.Node] {
-				return fmt.Errorf("api: app %q empty or duplicate instance node %q", a.ID, inst.Node)
-			}
-			seen[inst.Node] = true
-			if !finite(inst.ShareMHz) || inst.ShareMHz < 0 {
-				return fmt.Errorf("api: app %q instance on %q shareMHz %v", a.ID, inst.Node, inst.ShareMHz)
-			}
+		seen[inst.Node] = true
+		if !finite(inst.ShareMHz) || inst.ShareMHz < 0 {
+			return fmt.Errorf("api: app %q instance on %q shareMHz %v", a.ID, inst.Node, inst.ShareMHz)
 		}
 	}
 	return nil

@@ -1,11 +1,13 @@
 package api
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Compact binary codec for the wire schema, negotiated over HTTP via
@@ -81,9 +83,73 @@ var actionName = func() map[byte]string {
 	return m
 }()
 
-// binWriter accumulates one binary document.
+const (
+	// binSpillBytes is how much of a document a streaming binWriter
+	// buffers before handing it to the sink.
+	binSpillBytes = 32 << 10
+	// binPoolMaxBytes is the largest buffer a finished binWriter takes
+	// back to the pool; a row that outgrew it is left to the collector.
+	binPoolMaxBytes = 64 << 10
+	// maxReadPresize caps the buffer readAll allocates on a reader's
+	// word about its length, before any byte of it has arrived.
+	maxReadPresize = 1 << 20
+)
+
+// binWriter encodes one binary document and streams it to a sink: the
+// document is never resident whole. Between rows (a node, a job, an
+// action, a placement entry) a buffer past spill bytes is written out
+// and reused, so the sink sees the document's exact bytes in chunks of
+// about that size whatever the document's length. Sink errors latch:
+// after the first, nothing more is written and finish reports it.
 type binWriter struct {
-	buf []byte
+	buf   []byte
+	sink  io.Writer
+	spill int
+	err   error
+}
+
+// binWriters recycles writers, and with them their buffers, across
+// documents and goroutines; nothing is held per session.
+var binWriters = sync.Pool{New: func() any { return new(binWriter) }}
+
+// newBinWriter returns a pooled writer streaming to sink.
+func newBinWriter(sink io.Writer) *binWriter {
+	w := binWriters.Get().(*binWriter)
+	w.sink, w.spill = sink, binSpillBytes
+	return w
+}
+
+// row marks a row boundary, where a full buffer may be written out.
+func (w *binWriter) row() {
+	if len(w.buf) >= w.spill {
+		w.flush()
+	}
+}
+
+// flush hands the buffered bytes to the sink, or drops them once the
+// sink has failed.
+func (w *binWriter) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		n, err := w.sink.Write(w.buf)
+		if err == nil && n < len(w.buf) {
+			err = io.ErrShortWrite
+		}
+		w.err = err
+	}
+	w.buf = w.buf[:0]
+}
+
+// finish writes out what is still buffered, returns the writer to the
+// pool and reports the first sink error. The writer must not be used
+// afterwards.
+func (w *binWriter) finish() error {
+	w.flush()
+	err := w.err
+	if cap(w.buf) <= binPoolMaxBytes {
+		*w = binWriter{buf: w.buf}
+		binWriters.Put(w)
+	}
+	return err
 }
 
 func (w *binWriter) header(kind byte, schemaVersion int) {
@@ -98,7 +164,13 @@ func (w *binWriter) intv(v int)       { w.varint(int64(v)) }
 func (w *binWriter) f64(v float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
-func (w *binWriter) boolv(v bool)   { w.buf = append(w.buf, map[bool]byte{false: 0, true: 1}[v]) }
+func (w *binWriter) boolv(v bool) {
+	var b byte
+	if v {
+		b = 1
+	}
+	w.buf = append(w.buf, b)
+}
 func (w *binWriter) str(s string)   { w.uvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
 func (w *binWriter) count(n int)    { w.uvarint(uint64(n)) }
 func (w *binWriter) byteVal(b byte) { w.buf = append(w.buf, b) }
@@ -236,18 +308,38 @@ func (r *binReader) byteVal() byte {
 	return b
 }
 
-func (r *binReader) str() string {
+func (r *binReader) str() string { return string(r.strBytes()) }
+
+// strBytes reads a string's bytes without copying them out of the
+// document.
+func (r *binReader) strBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.remaining()) {
 		r.fail("string length %d exceeds %d remaining bytes", n, r.remaining())
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	b := r.data[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
+}
+
+// jobState reads a job state string. One document repeats the same
+// three strings thousands of times; they decode to the constants
+// instead of a fresh copy each.
+func (r *binReader) jobState() string {
+	b := r.strBytes()
+	switch string(b) {
+	case JobPending:
+		return JobPending
+	case JobRunning:
+		return JobRunning
+	case JobSuspended:
+		return JobSuspended
+	}
+	return string(b)
 }
 
 // count reads an element count and bounds it by the bytes remaining:
@@ -293,6 +385,24 @@ func (r *binReader) floatMap() map[string]Float {
 	return m
 }
 
+// readAll is io.ReadAll with the buffer sized up front when the reader
+// knows its length (a bytes.Reader, a request body announcing its
+// Content-Length): one allocation for the document instead of a dozen
+// doublings. The length is a hint, never a limit — shorter and longer
+// inputs read correctly — and it is capped, so a peer's claim alone
+// cannot make the decoder allocate much more than maxReadPresize.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	var buf bytes.Buffer
+	// MinRead to spare: ReadFrom sees EOF without growing the buffer.
+	buf.Grow(min(max(sized.Len(), 0), maxReadPresize) + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // finish validates that the document was consumed exactly.
 func (r *binReader) finish() error {
 	if r.err != nil {
@@ -313,6 +423,7 @@ func (w *binWriter) snapshotBody(s *Snapshot) {
 		w.str(n.ID)
 		w.f64(n.CPUMHz)
 		w.varint(n.MemMB)
+		w.row()
 	}
 	w.count(len(s.Jobs))
 	for i := range s.Jobs {
@@ -360,11 +471,12 @@ func (w *binWriter) job(j *Job) {
 	w.f64(j.GoalSec)
 	w.f64(j.SubmittedSec)
 	w.utilityFn(j.Utility)
+	w.row()
 }
 
 func (r *binReader) job() Job {
 	return Job{
-		ID: r.str(), Class: r.str(), State: r.str(), Node: r.str(),
+		ID: r.str(), Class: r.str(), State: r.jobState(), Node: r.str(),
 		ShareMHz: r.f64(), Migrating: r.boolv(),
 		RemainingMHzs: r.f64(), MaxSpeedMHz: r.f64(), MemMB: r.varint(),
 		GoalSec: r.f64(), SubmittedSec: r.f64(), Utility: r.utilityFn(),
@@ -389,6 +501,7 @@ func (w *binWriter) app(a *App) {
 		w.f64(in.ShareMHz)
 	}
 	w.f64(float64(a.MeasuredRTSec))
+	w.row()
 }
 
 func (r *binReader) app() App {
@@ -443,20 +556,23 @@ func (r *binReader) utilityFn() *UtilityFn {
 // EncodeSnapshotBinary writes one snapshot in the binary form,
 // stamping the schema version if the caller left it zero.
 func EncodeSnapshotBinary(w io.Writer, s *Snapshot) error {
+	bw := newBinWriter(w)
+	bw.snapshotDoc(s)
+	return bw.finish()
+}
+
+func (w *binWriter) snapshotDoc(s *Snapshot) {
 	if s.SchemaVersion == 0 {
 		s.SchemaVersion = SchemaVersion
 	}
-	bw := &binWriter{}
-	bw.header(binKindSnapshot, s.SchemaVersion)
-	bw.snapshotBody(s)
-	_, err := w.Write(bw.buf)
-	return err
+	w.header(binKindSnapshot, s.SchemaVersion)
+	w.snapshotBody(s)
 }
 
 // DecodeSnapshotBinary reads, version-checks and validates one binary
 // snapshot.
 func DecodeSnapshotBinary(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("api: binary decode: %w", err)
 	}
@@ -487,6 +603,7 @@ func (w *binWriter) planBody(p *Plan) {
 		w.str(j.State)
 		w.str(j.Node)
 		w.f64(j.ShareMHz)
+		w.row()
 	}
 	w.count(len(p.Placement.Apps))
 	for _, a := range p.Placement.Apps {
@@ -496,6 +613,7 @@ func (w *binWriter) planBody(p *Plan) {
 			w.str(in.Node)
 			w.f64(in.ShareMHz)
 		}
+		w.row()
 	}
 	w.f64(float64(p.Diagnostics.EqualizedUtility))
 	w.f64(float64(p.Diagnostics.HypotheticalJobUtility))
@@ -513,7 +631,7 @@ func (r *binReader) planBody(version int) *Plan {
 	if n := r.count(4); n > 0 {
 		p.Placement.Jobs = make([]JobPlacement, n)
 		for i := range p.Placement.Jobs {
-			p.Placement.Jobs[i] = JobPlacement{ID: r.str(), State: r.str(), Node: r.str(), ShareMHz: r.f64()}
+			p.Placement.Jobs[i] = JobPlacement{ID: r.str(), State: r.jobState(), Node: r.str(), ShareMHz: r.f64()}
 		}
 	}
 	if n := r.count(2); n > 0 {
@@ -552,6 +670,7 @@ func (w *binWriter) actions(actions []Action) {
 		w.str(a.App)
 		w.str(a.Node)
 		w.f64(a.ShareMHz)
+		w.row()
 	}
 }
 
@@ -574,19 +693,22 @@ func (r *binReader) actions() []Action {
 
 // EncodePlanBinary writes one plan in the binary form.
 func EncodePlanBinary(w io.Writer, p *Plan) error {
+	bw := newBinWriter(w)
+	bw.planDoc(p)
+	return bw.finish()
+}
+
+func (w *binWriter) planDoc(p *Plan) {
 	if p.SchemaVersion == 0 {
 		p.SchemaVersion = SchemaVersion
 	}
-	bw := &binWriter{}
-	bw.header(binKindPlan, p.SchemaVersion)
-	bw.planBody(p)
-	_, err := w.Write(bw.buf)
-	return err
+	w.header(binKindPlan, p.SchemaVersion)
+	w.planBody(p)
 }
 
 // DecodePlanBinary reads and version-checks one binary plan.
 func DecodePlanBinary(r io.Reader) (*Plan, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("api: binary decode: %w", err)
 	}
@@ -646,6 +768,7 @@ func (w *binWriter) forecastState(s *ForecastState) {
 		w.boolv(a.HasPred)
 		w.f64(a.PredForSec)
 		w.f64(a.Pred)
+		w.row()
 	}
 }
 
@@ -684,6 +807,7 @@ func (w *binWriter) delta(d *SnapshotDelta) {
 			w.str(n.ID)
 			w.f64(n.CPUMHz)
 			w.varint(n.MemMB)
+			w.row()
 		}
 	}
 	w.count(len(d.UpsertJobs))
@@ -693,6 +817,7 @@ func (w *binWriter) delta(d *SnapshotDelta) {
 	w.count(len(d.RemoveJobs))
 	for _, id := range d.RemoveJobs {
 		w.str(id)
+		w.row()
 	}
 	w.count(len(d.UpsertApps))
 	for i := range d.UpsertApps {
@@ -701,6 +826,7 @@ func (w *binWriter) delta(d *SnapshotDelta) {
 	w.count(len(d.RemoveApps))
 	for _, id := range d.RemoveApps {
 		w.str(id)
+		w.row()
 	}
 }
 
@@ -742,39 +868,42 @@ func (r *binReader) delta() *SnapshotDelta {
 
 // EncodePlanRequestBinary writes one plan request in the binary form.
 func EncodePlanRequestBinary(w io.Writer, req *PlanRequest) error {
+	bw := newBinWriter(w)
+	bw.planRequestDoc(req)
+	return bw.finish()
+}
+
+func (w *binWriter) planRequestDoc(req *PlanRequest) {
 	if req.SchemaVersion == 0 {
 		req.SchemaVersion = SchemaVersion
 	}
 	if req.Snapshot != nil && req.Snapshot.SchemaVersion == 0 {
 		req.Snapshot.SchemaVersion = SchemaVersion
 	}
-	bw := &binWriter{}
-	bw.header(binKindPlanRequest, req.SchemaVersion)
-	bw.str(req.ClusterID)
-	bw.boolv(req.Snapshot != nil)
+	w.header(binKindPlanRequest, req.SchemaVersion)
+	w.str(req.ClusterID)
+	w.boolv(req.Snapshot != nil)
 	if req.Snapshot != nil {
-		bw.uvarint(uint64(req.Snapshot.SchemaVersion))
-		bw.snapshotBody(req.Snapshot)
+		w.uvarint(uint64(req.Snapshot.SchemaVersion))
+		w.snapshotBody(req.Snapshot)
 	}
-	bw.boolv(req.Delta != nil)
+	w.boolv(req.Delta != nil)
 	if req.Delta != nil {
-		bw.delta(req.Delta)
+		w.delta(req.Delta)
 	}
-	bw.str(req.Reply)
-	bw.intv(req.Shards)
-	bw.boolv(req.Forecast != nil)
+	w.str(req.Reply)
+	w.intv(req.Shards)
+	w.boolv(req.Forecast != nil)
 	if req.Forecast != nil {
-		bw.forecastConfig(req.Forecast)
+		w.forecastConfig(req.Forecast)
 	}
-	_, err := w.Write(bw.buf)
-	return err
 }
 
 // DecodePlanRequestBinary reads, version-checks and shape-checks one
 // binary plan request (the same contract as DecodePlanRequest: the
 // embedded snapshot or delta is content-validated by the session).
 func DecodePlanRequestBinary(r io.Reader) (*PlanRequest, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("api: binary decode: %w", err)
 	}
@@ -851,39 +980,42 @@ func PeekPlanRequestClusterBinary(data []byte) (string, error) {
 
 // EncodePlanResponseBinary writes one plan response in the binary form.
 func EncodePlanResponseBinary(w io.Writer, resp *PlanResponse) error {
+	bw := newBinWriter(w)
+	bw.planResponseDoc(resp)
+	return bw.finish()
+}
+
+func (w *binWriter) planResponseDoc(resp *PlanResponse) {
 	if resp.SchemaVersion == 0 {
 		resp.SchemaVersion = SchemaVersion
 	}
-	bw := &binWriter{}
-	bw.header(binKindPlanResponse, resp.SchemaVersion)
-	bw.str(resp.ClusterID)
-	bw.intv(resp.Cycle)
-	bw.str(resp.PlanMode)
-	bw.boolv(resp.Stats != nil)
+	w.header(binKindPlanResponse, resp.SchemaVersion)
+	w.str(resp.ClusterID)
+	w.intv(resp.Cycle)
+	w.str(resp.PlanMode)
+	w.boolv(resp.Stats != nil)
 	if resp.Stats != nil {
-		bw.intv(resp.Stats.Full)
-		bw.intv(resp.Stats.Incremental)
-		bw.intv(resp.Stats.Replayed)
-		bw.str(resp.Stats.LastMode)
-		bw.f64(resp.Stats.LastDemandDeltaMHz)
+		w.intv(resp.Stats.Full)
+		w.intv(resp.Stats.Incremental)
+		w.intv(resp.Stats.Replayed)
+		w.str(resp.Stats.LastMode)
+		w.f64(resp.Stats.LastDemandDeltaMHz)
 	}
-	bw.boolv(resp.Plan != nil)
+	w.boolv(resp.Plan != nil)
 	if resp.Plan != nil {
 		if resp.Plan.SchemaVersion == 0 {
 			resp.Plan.SchemaVersion = SchemaVersion
 		}
-		bw.uvarint(uint64(resp.Plan.SchemaVersion))
-		bw.planBody(resp.Plan)
+		w.uvarint(uint64(resp.Plan.SchemaVersion))
+		w.planBody(resp.Plan)
 	}
-	bw.actions(resp.Delta)
-	_, err := w.Write(bw.buf)
-	return err
+	w.actions(resp.Delta)
 }
 
 // DecodePlanResponseBinary reads and version-checks one binary plan
 // response.
 func DecodePlanResponseBinary(r io.Reader) (*PlanResponse, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("api: binary decode: %w", err)
 	}
@@ -921,50 +1053,53 @@ func DecodePlanResponseBinary(r io.Reader) (*PlanResponse, error) {
 
 // EncodeCheckpointBinary writes one checkpoint in the binary form.
 func EncodeCheckpointBinary(w io.Writer, c *Checkpoint) error {
+	bw := newBinWriter(w)
+	bw.checkpointDoc(c)
+	return bw.finish()
+}
+
+func (w *binWriter) checkpointDoc(c *Checkpoint) {
 	if c.SchemaVersion == 0 {
 		c.SchemaVersion = SchemaVersion
 	}
-	bw := &binWriter{}
-	bw.header(binKindCheckpoint, c.SchemaVersion)
-	bw.str(c.ClusterID)
-	bw.str(c.Controller)
-	bw.intv(c.Cycle)
-	bw.boolv(c.HasNow)
-	bw.f64(c.LastNowSec)
-	bw.intv(c.Shards)
-	bw.count(len(c.ShardBounds))
+	w.header(binKindCheckpoint, c.SchemaVersion)
+	w.str(c.ClusterID)
+	w.str(c.Controller)
+	w.intv(c.Cycle)
+	w.boolv(c.HasNow)
+	w.f64(c.LastNowSec)
+	w.intv(c.Shards)
+	w.count(len(c.ShardBounds))
 	for _, b := range c.ShardBounds {
-		bw.intv(b)
+		w.intv(b)
 	}
-	bw.intv(c.ShardReshards)
-	bw.boolv(c.Snapshot != nil)
+	w.intv(c.ShardReshards)
+	w.boolv(c.Snapshot != nil)
 	if c.Snapshot != nil {
 		if c.Snapshot.SchemaVersion == 0 {
 			c.Snapshot.SchemaVersion = SchemaVersion
 		}
-		bw.uvarint(uint64(c.Snapshot.SchemaVersion))
-		bw.snapshotBody(c.Snapshot)
+		w.uvarint(uint64(c.Snapshot.SchemaVersion))
+		w.snapshotBody(c.Snapshot)
 	}
-	bw.boolv(c.Plan != nil)
+	w.boolv(c.Plan != nil)
 	if c.Plan != nil {
 		if c.Plan.SchemaVersion == 0 {
 			c.Plan.SchemaVersion = SchemaVersion
 		}
-		bw.uvarint(uint64(c.Plan.SchemaVersion))
-		bw.planBody(c.Plan)
+		w.uvarint(uint64(c.Plan.SchemaVersion))
+		w.planBody(c.Plan)
 	}
-	bw.boolv(c.Forecast != nil)
+	w.boolv(c.Forecast != nil)
 	if c.Forecast != nil {
-		bw.forecastState(c.Forecast)
+		w.forecastState(c.Forecast)
 	}
-	_, err := w.Write(bw.buf)
-	return err
 }
 
 // DecodeCheckpointBinary reads, version-checks and validates one
 // binary checkpoint.
 func DecodeCheckpointBinary(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("api: binary decode: %w", err)
 	}

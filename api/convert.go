@@ -215,61 +215,79 @@ func (s *Snapshot) CoreState() (*core.State, error) {
 	if len(s.Jobs) > 0 {
 		st.Jobs = make([]core.JobInfo, len(s.Jobs))
 	}
-	for i, j := range s.Jobs {
-		state, err := jobStateCore(j.State)
+	for i := range s.Jobs {
+		info, err := s.Jobs[i].coreInfo()
 		if err != nil {
 			return nil, err
 		}
-		fn, err := j.Utility.Function()
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", j.ID, err)
-		}
-		st.Jobs[i] = core.JobInfo{
-			ID:        batch.JobID(j.ID),
-			Class:     j.Class,
-			State:     state,
-			Node:      cluster.NodeID(j.Node),
-			Share:     res.CPU(j.ShareMHz),
-			Migrating: j.Migrating,
-			Remaining: res.Work(j.RemainingMHzs),
-			MaxSpeed:  res.CPU(j.MaxSpeedMHz),
-			Mem:       res.Memory(j.MemMB),
-			Goal:      j.GoalSec,
-			Submitted: j.SubmittedSec,
-			Fn:        fn,
-		}
+		st.Jobs[i] = info
 	}
 	if len(s.Apps) > 0 {
 		st.Apps = make([]core.AppInfo, len(s.Apps))
 	}
-	for i, a := range s.Apps {
-		model, err := a.Model.QueueModel()
+	for i := range s.Apps {
+		info, err := s.Apps[i].coreInfo()
 		if err != nil {
-			return nil, fmt.Errorf("app %q: %w", a.ID, err)
+			return nil, err
 		}
-		fn, err := a.Utility.Function()
-		if err != nil {
-			return nil, fmt.Errorf("app %q: %w", a.ID, err)
-		}
-		inst := make(map[cluster.NodeID]res.CPU, len(a.Instances))
-		for _, in := range a.Instances {
-			inst[cluster.NodeID(in.Node)] = res.CPU(in.ShareMHz)
-		}
-		st.Apps[i] = core.AppInfo{
-			ID:             trans.AppID(a.ID),
-			Lambda:         a.Lambda,
-			RTGoal:         a.RTGoalSec,
-			Model:          model,
-			Fn:             fn,
-			InstanceMem:    res.Memory(a.InstanceMemMB),
-			MaxPerInstance: res.CPU(a.MaxPerInstanceMHz),
-			MinInstances:   a.MinInstances,
-			MaxInstances:   a.MaxInstances,
-			Instances:      inst,
-			MeasuredRT:     float64(a.MeasuredRTSec),
-		}
+		st.Apps[i] = info
 	}
 	return st, nil
+}
+
+// coreInfo converts one wire job to the planner's form.
+func (j *Job) coreInfo() (core.JobInfo, error) {
+	state, err := jobStateCore(j.State)
+	if err != nil {
+		return core.JobInfo{}, err
+	}
+	fn, err := j.Utility.Function()
+	if err != nil {
+		return core.JobInfo{}, fmt.Errorf("job %q: %w", j.ID, err)
+	}
+	return core.JobInfo{
+		ID:        batch.JobID(j.ID),
+		Class:     j.Class,
+		State:     state,
+		Node:      cluster.NodeID(j.Node),
+		Share:     res.CPU(j.ShareMHz),
+		Migrating: j.Migrating,
+		Remaining: res.Work(j.RemainingMHzs),
+		MaxSpeed:  res.CPU(j.MaxSpeedMHz),
+		Mem:       res.Memory(j.MemMB),
+		Goal:      j.GoalSec,
+		Submitted: j.SubmittedSec,
+		Fn:        fn,
+	}, nil
+}
+
+// coreInfo converts one wire application to the planner's form.
+func (a *App) coreInfo() (core.AppInfo, error) {
+	model, err := a.Model.QueueModel()
+	if err != nil {
+		return core.AppInfo{}, fmt.Errorf("app %q: %w", a.ID, err)
+	}
+	fn, err := a.Utility.Function()
+	if err != nil {
+		return core.AppInfo{}, fmt.Errorf("app %q: %w", a.ID, err)
+	}
+	inst := make(map[cluster.NodeID]res.CPU, len(a.Instances))
+	for _, in := range a.Instances {
+		inst[cluster.NodeID(in.Node)] = res.CPU(in.ShareMHz)
+	}
+	return core.AppInfo{
+		ID:             trans.AppID(a.ID),
+		Lambda:         a.Lambda,
+		RTGoal:         a.RTGoalSec,
+		Model:          model,
+		Fn:             fn,
+		InstanceMem:    res.Memory(a.InstanceMemMB),
+		MaxPerInstance: res.CPU(a.MaxPerInstanceMHz),
+		MinInstances:   a.MinInstances,
+		MaxInstances:   a.MaxInstances,
+		Instances:      inst,
+		MeasuredRT:     float64(a.MeasuredRTSec),
+	}, nil
 }
 
 // FromCoreAction converts one planner action to its wire form.
@@ -337,25 +355,11 @@ func FromCorePlan(st *core.State, p *core.Plan) (*Plan, error) {
 		}
 	}
 
-	jobs := p.JobAssignments(st)
-	if len(jobs) > 0 {
-		wire.Placement.Jobs = make([]JobPlacement, 0, len(jobs))
-		for id, a := range jobs {
-			state, err := jobStateWire(a.State)
-			if err != nil {
-				return nil, err
-			}
-			wire.Placement.Jobs = append(wire.Placement.Jobs, JobPlacement{
-				ID:       string(id),
-				State:    state,
-				Node:     string(a.Node),
-				ShareMHz: float64(a.Share),
-			})
-		}
-		sort.Slice(wire.Placement.Jobs, func(i, j int) bool {
-			return wire.Placement.Jobs[i].ID < wire.Placement.Jobs[j].ID
-		})
+	jobs, err := jobPlacements(st, p)
+	if err != nil {
+		return nil, err
 	}
+	wire.Placement.Jobs = jobs
 	apps := p.AppAssignments(st)
 	if len(apps) > 0 {
 		wire.Placement.Apps = make([]AppPlacement, 0, len(apps))
@@ -381,6 +385,92 @@ func FromCorePlan(st *core.State, p *core.Plan) (*Plan, error) {
 		AppTargetMHz:           appCPUMapWire(p.AppTarget),
 	}
 	return wire, nil
+}
+
+// jobPlacements renders core.Plan.JobAssignments — every snapshot
+// job's post-plan assignment — straight into the wire's ID-sorted list.
+// A monitoring loop's snapshot lists jobs in strictly increasing ID
+// order, and then nothing is hashed or sorted: the list is filled in
+// one pass over st.Jobs and each action finds its job by binary search.
+// Any other input (unsorted or duplicate IDs, an action naming a job
+// the snapshot lacks) gets the map's semantics through an ID index
+// built on demand: a later duplicate overwrites the earlier one, an
+// absent job is appended, and the list is sorted at the end.
+func jobPlacements(st *core.State, p *core.Plan) ([]JobPlacement, error) {
+	out := make([]JobPlacement, len(st.Jobs))
+	sorted := true
+	for i := range st.Jobs {
+		j := &st.Jobs[i]
+		// An unknown state is reported only if no action overrides it.
+		state, _ := jobStateWire(j.State)
+		out[i] = JobPlacement{ID: string(j.ID), State: state}
+		if j.State == batch.Running {
+			out[i].Node, out[i].ShareMHz = string(j.Node), float64(j.Share)
+		}
+		sorted = sorted && (i == 0 || out[i-1].ID < out[i].ID)
+	}
+	var index map[string]int
+	if !sorted {
+		index = make(map[string]int, len(out))
+		n := 0
+		for _, jp := range out {
+			if at, dup := index[jp.ID]; dup {
+				out[at] = jp
+				continue
+			}
+			index[jp.ID] = n
+			out[n] = jp
+			n++
+		}
+		out = out[:n]
+	}
+	// at returns the job's entry, appending a pending one when the
+	// snapshot has no such job.
+	at := func(id batch.JobID) *JobPlacement {
+		if index == nil {
+			i := sort.Search(len(out), func(i int) bool { return out[i].ID >= string(id) })
+			if i < len(out) && out[i].ID == string(id) {
+				return &out[i]
+			}
+			index = make(map[string]int, len(out)+1)
+			for i := range out {
+				index[out[i].ID] = i
+			}
+		}
+		i, ok := index[string(id)]
+		if !ok {
+			i, sorted = len(out), false
+			index[string(id)] = i
+			out = append(out, JobPlacement{ID: string(id), State: JobPending})
+		}
+		return &out[i]
+	}
+	for _, act := range p.Actions {
+		switch a := act.(type) {
+		case core.StartJob:
+			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Node), ShareMHz: float64(a.Share)}
+		case core.ResumeJob:
+			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Node), ShareMHz: float64(a.Share)}
+		case core.SuspendJob:
+			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobSuspended}
+		case core.MigrateJob:
+			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Dst), ShareMHz: float64(a.Share)}
+		case core.SetJobShare:
+			at(a.Job).ShareMHz = float64(a.Share)
+		}
+	}
+	if len(out) == 0 {
+		return nil, nil
+	}
+	if !sorted {
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	}
+	for i := range out {
+		if out[i].State == "" {
+			return nil, fmt.Errorf("api: job %q is in a state with no wire form", out[i].ID)
+		}
+	}
+	return out, nil
 }
 
 // CorePlan reconstructs the planner's plan form from the wire: actions
@@ -578,36 +668,18 @@ func (d *SnapshotDelta) ApplyTo(base *core.State) (*core.State, error) {
 	return st, nil
 }
 
-// wireJobInfo converts and validates one wire job.
+// wireJobInfo validates and converts one upserted job.
 func wireJobInfo(j *Job) (core.JobInfo, error) {
-	shim := Snapshot{
-		SchemaVersion: SchemaVersion, Now: 0,
-		Nodes: []Node{{ID: "validate", CPUMHz: 1, MemMB: 1}},
-		Jobs:  []Job{*j},
-	}
-	if err := shim.Validate(); err != nil {
+	if err := j.validate(0); err != nil {
 		return core.JobInfo{}, err
 	}
-	st, err := shim.CoreState()
-	if err != nil {
-		return core.JobInfo{}, err
-	}
-	return st.Jobs[0], nil
+	return j.coreInfo()
 }
 
-// wireAppInfo converts and validates one wire app.
+// wireAppInfo validates and converts one upserted application.
 func wireAppInfo(a *App) (core.AppInfo, error) {
-	shim := Snapshot{
-		SchemaVersion: SchemaVersion, Now: 0,
-		Nodes: []Node{{ID: "validate", CPUMHz: 1, MemMB: 1}},
-		Apps:  []App{*a},
-	}
-	if err := shim.Validate(); err != nil {
+	if err := a.validate(0); err != nil {
 		return core.AppInfo{}, err
 	}
-	st, err := shim.CoreState()
-	if err != nil {
-		return core.AppInfo{}, err
-	}
-	return st.Apps[0], nil
+	return a.coreInfo()
 }

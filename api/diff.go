@@ -24,9 +24,17 @@ func (p *Plan) Diff(prev *Plan) []Action {
 		prevJobs = prev.Placement.Jobs
 		prevApps = prev.Placement.Apps
 	}
-	pj := make(map[string]*JobPlacement, len(prevJobs))
-	for i := range prevJobs {
-		pj[prevJobs[i].ID] = &prevJobs[i]
+	// Placements from FromCorePlan list jobs in strictly increasing ID
+	// order, so the previous entry of each job is found by walking the
+	// two lists in step; a hand-built placement in any other order gets
+	// the map.
+	merge := jobsSorted(prevJobs) && jobsSorted(p.Placement.Jobs)
+	var pj map[string]*JobPlacement
+	if !merge {
+		pj = make(map[string]*JobPlacement, len(prevJobs))
+		for i := range prevJobs {
+			pj[prevJobs[i].ID] = &prevJobs[i]
+		}
 	}
 	pa := make(map[string]*AppPlacement, len(prevApps))
 	for i := range prevApps {
@@ -34,9 +42,18 @@ func (p *Plan) Diff(prev *Plan) []Action {
 	}
 
 	var frees, places, shares []Action
+	next := 0 // merge walk: first previous job not yet passed
 	for i := range p.Placement.Jobs {
 		job := &p.Placement.Jobs[i]
 		was := pj[job.ID]
+		if merge {
+			for next < len(prevJobs) && prevJobs[next].ID < job.ID {
+				next++
+			}
+			if next < len(prevJobs) && prevJobs[next].ID == job.ID {
+				was = &prevJobs[next]
+			}
+		}
 		switch {
 		case job.State == JobRunning:
 			switch {
@@ -102,4 +119,15 @@ func (p *Plan) Diff(prev *Plan) []Action {
 	out = append(out, places...)
 	out = append(out, shares...)
 	return out
+}
+
+// jobsSorted reports whether the placement lists its jobs in strictly
+// increasing ID order.
+func jobsSorted(jobs []JobPlacement) bool {
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i-1].ID >= jobs[i].ID {
+			return false
+		}
+	}
+	return true
 }

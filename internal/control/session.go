@@ -39,9 +39,13 @@ type Session struct {
 
 	// wire is the lazily created backend behind Propose/ProposeDelta;
 	// hasNow/lastNow enforce monotonic snapshot time on the wire path.
-	wire    *WireBackend
-	hasNow  bool
-	lastNow float64
+	// wirePlan is the wire form of the backend's last plan — built by
+	// the last Propose, or handed in by the checkpoint a restore was
+	// given — kept so Export does not convert the same plan again.
+	wire     *WireBackend
+	wirePlan *api.Plan
+	hasNow   bool
+	lastNow  float64
 
 	// fc, when set, substitutes predicted per-app demand into each
 	// snapshot before the controller plans it (EnableForecast). The
@@ -234,7 +238,9 @@ func (s *Session) cycle(b ClusterBackend, rec *metrics.Recorder, t0, now float64
 // serialized — it is a deterministic function of the planned snapshot
 // sequence, so RestoreSession rebuilds it by re-planning the exported
 // snapshot. Sessions driven through Cycle (an in-process backend, no
-// wire state) export a counters-only checkpoint.
+// wire state) export a counters-only checkpoint. The checkpoint's Plan
+// is the session's own wire plan, shared rather than copied: encode it,
+// do not edit it.
 func (s *Session) Export() (*api.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,9 +256,12 @@ func (s *Session) Export() (*api.Checkpoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("control: export snapshot: %w", err)
 		}
-		plan, err := api.FromCorePlan(s.wire.LastState(), s.wire.LastPlan())
-		if err != nil {
-			return nil, fmt.Errorf("control: export plan: %w", err)
+		plan := s.wirePlan
+		if plan == nil { // the last Propose could not convert its plan
+			plan, err = api.FromCorePlan(s.wire.LastState(), s.wire.LastPlan())
+			if err != nil {
+				return nil, fmt.Errorf("control: export plan: %w", err)
+			}
 		}
 		ck.Snapshot, ck.Plan = snap, plan
 	} else if s.cycles > 0 {
@@ -321,6 +330,7 @@ func RestoreSession(ctrl core.Controller, ck *api.Checkpoint) (*Session, error) 
 		if plan.Digest() != want.Digest() {
 			return nil, ErrCheckpointMismatch
 		}
+		s.wirePlan = ck.Plan
 	}
 	s.cycles = ck.Cycle
 	s.hasNow, s.lastNow = ck.HasNow, ck.LastNowSec
@@ -329,9 +339,10 @@ func RestoreSession(ctrl core.Controller, ck *api.Checkpoint) (*Session, error) 
 
 // Propose plans against a full wire snapshot and returns the wire
 // plan. The session retains the decoded state, so subsequent calls may
-// send a SnapshotDelta via ProposeDelta instead. Snapshot time must
-// not go backwards across calls (equal is fine — an unchanged
-// snapshot replays the cached plan).
+// send a SnapshotDelta via ProposeDelta instead, and the returned plan,
+// which the next Export checkpoints as is: treat it as read-only.
+// Snapshot time must not go backwards across calls (equal is fine — an
+// unchanged snapshot replays the cached plan).
 func (s *Session) Propose(snap *api.Snapshot) (*api.Plan, core.PlanStats, error) {
 	if err := snap.Validate(); err != nil {
 		return nil, core.PlanStats{}, err
@@ -383,6 +394,7 @@ func (s *Session) proposeLocked(st *core.State) (*api.Plan, core.PlanStats, erro
 	plan, stats := s.cycle(s.wire, nil, s.lastNow, st.Now)
 	s.hasNow, s.lastNow = true, st.Now
 	wire, err := api.FromCorePlan(st, plan)
+	s.wirePlan = wire
 	if err != nil {
 		return nil, stats, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"slaplace/api"
@@ -366,6 +367,67 @@ func TestSessionExportRestore(t *testing.T) {
 		UpsertApps: []api.App{drifted.Apps[0]},
 	}); err != nil {
 		t.Fatalf("delta after restore: %v", err)
+	}
+}
+
+// TestSessionExportReusesWirePlan: Export checkpoints the wire plan the
+// last Propose returned — the same value, not a second conversion — and
+// that value is what a conversion of the backend's plan would give;
+// after a restore it is the checkpoint's own plan until the next cycle
+// replaces it.
+func TestSessionExportReusesWirePlan(t *testing.T) {
+	st := steadyState(t, 4, 20)
+	sess, err := NewSession(core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := func(s *Session) *api.Plan {
+		t.Helper()
+		ck, err := s.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := api.FromCorePlan(s.wire.LastState(), s.wire.LastPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ck.Plan, want) {
+			t.Fatalf("checkpointed plan is not the backend's plan:\n got %+v\nwant %+v", ck.Plan, want)
+		}
+		return ck.Plan
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		st.Apps[0].Lambda = 65 + float64(cycle)
+		st.Now += 100
+		plan, _, err := sess.Propose(wireSnapshot(t, st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exported(sess) != plan {
+			t.Fatalf("cycle %d: Export converted the plan again", cycle)
+		}
+	}
+
+	ck, err := sess.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(core.New(core.DefaultConfig()), ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exported(restored) != ck.Plan {
+		t.Fatal("restored session does not checkpoint the plan it was given")
+	}
+	st.Apps[0].Lambda, st.Now = 80, st.Now+100
+	plan, _, err := restored.ProposeDelta(&api.SnapshotDelta{
+		BaseCycle: restored.Cycles(), Now: st.Now, UpsertApps: wireSnapshot(t, st).Apps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exported(restored) != plan {
+		t.Fatal("a cycle after restore did not replace the checkpointed plan")
 	}
 }
 

@@ -36,8 +36,10 @@ func (s *Server) checkpointPath(clusterID string) string {
 
 // writeCheckpointFile persists a checkpoint atomically: encode (binary
 // — the compact codec, same bit-exactness guarantees as JSON) to a
-// temp file in the state dir, fsync, rename over the live name. A
-// crash mid-write leaves the previous file intact.
+// temp file in the state dir, fsync, rename over the live name. The
+// encoder streams the document into the file in bounded chunks; a
+// failed chunk fails the write before the rename, so a crash or a full
+// disk mid-write leaves the previous file intact.
 func (s *Server) writeCheckpointFile(ck *api.Checkpoint) error {
 	tmp, err := os.CreateTemp(s.opts.StateDir, ".ckpt-*")
 	if err != nil {
@@ -69,7 +71,11 @@ func (s *Server) readCheckpoint(clusterID string) (*api.Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return api.DecodeCheckpointBinary(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return api.DecodeCheckpointBinary(sizedReader{f, st.Size()})
 }
 
 // checkpointLocked exports the session and rolls its state file
@@ -139,7 +145,7 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, errors.New("serve: draining"))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := s.requestBody(w, r)
 	var ck *api.Checkpoint
 	var err error
 	if sendsBinary(r) {

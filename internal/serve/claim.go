@@ -17,13 +17,15 @@ import (
 // (<escaped-cluster>.claim, containing the owner's replica ID) makes
 // adoption exactly-once:
 //
-//   - fresh adoption creates the claim with O_CREATE|O_EXCL — the
-//     filesystem picks exactly one winner;
+//   - fresh adoption publishes the claim with its content already in it:
+//     the owner's ID goes to a temp file that is hard-linked to the
+//     claim name — link fails with EEXIST for all but one racer, and
+//     no reader can ever see a claim without an owner;
 //   - a claim whose mtime is older than StaleClaimAfter is presumed
 //     orphaned (its owner stopped checkpointing — every checkpoint
 //     write refreshes the mtime) and may be taken over: the thief
 //     renames the stale file away (POSIX rename: one racer gets it,
-//     the rest get ENOENT) and then competes in the O_EXCL create;
+//     the rest get ENOENT) and then competes in the link;
 //   - a fresh claim by someone else is an answer, not an obstacle:
 //     the caller gets notOwnerError carrying the owner's ID, which
 //     the HTTP layer turns into 421 + an owner hint the retrying
@@ -52,7 +54,9 @@ func (s *Server) claimPath(clusterID string) string {
 	return filepath.Join(s.opts.StateDir, url.PathEscape(clusterID)+".claim")
 }
 
-// readClaim returns a claim file's owner and freshness.
+// readClaim returns a claim file's owner and freshness. Claims are
+// published whole (stageClaim + link or rename), so a file that names
+// no owner is damage, not a claim in progress: an error, never an owner.
 func readClaim(path string) (owner string, mtime time.Time, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -62,7 +66,33 @@ func readClaim(path string) (owner string, mtime time.Time, err error) {
 	if err != nil {
 		return "", time.Time{}, err
 	}
-	return strings.TrimSpace(string(data)), st.ModTime(), nil
+	owner = strings.TrimSpace(string(data))
+	if owner == "" {
+		return "", time.Time{}, fmt.Errorf("claim file %s names no owner", path)
+	}
+	return owner, st.ModTime(), nil
+}
+
+// stageClaim writes this replica's ID to a synced temp file in the
+// state dir and returns its name. The caller publishes it under the
+// claim name (link to compete, rename to overwrite) and removes it.
+func (s *Server) stageClaim() (string, error) {
+	tmp, err := os.CreateTemp(s.opts.StateDir, ".claim-*")
+	if err != nil {
+		return "", err
+	}
+	_, err = tmp.WriteString(s.opts.ReplicaID + "\n")
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }
 
 // acquireClaim takes (or refreshes) the cluster's claim for this
@@ -74,17 +104,15 @@ func (s *Server) acquireClaim(clusterID string) error {
 		return nil
 	}
 	path := s.claimPath(clusterID)
+	tmp, err := s.stageClaim()
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp)
 	for attempt := 0; attempt < 5; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(tmp, path)
 		if err == nil {
-			_, werr := f.WriteString(s.opts.ReplicaID + "\n")
-			if serr := f.Sync(); werr == nil {
-				werr = serr
-			}
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			return werr
+			return nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return err
@@ -106,7 +134,7 @@ func (s *Server) acquireClaim(clusterID string) error {
 		// Stale: the owner stopped refreshing (dead, or the cluster went
 		// idle on it — either way it will notice the depose on its next
 		// refresh). Exactly one thief wins the rename; losers see ENOENT
-		// and loop back to compete in the O_EXCL create.
+		// and loop back to compete in the link.
 		graveyard := path + ".steal." + url.PathEscape(s.opts.ReplicaID)
 		if err := os.Rename(path, graveyard); err != nil {
 			if errors.Is(err, os.ErrNotExist) {
@@ -152,23 +180,12 @@ func (s *Server) forceClaim(clusterID string) error {
 	if !s.claimsEnabled() {
 		return nil
 	}
-	tmp, err := os.CreateTemp(s.opts.StateDir, ".claim-*")
+	tmp, err := s.stageClaim()
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(s.opts.ReplicaID + "\n"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), s.claimPath(clusterID))
+	defer os.Remove(tmp) // no-op after a successful rename
+	return os.Rename(tmp, s.claimPath(clusterID))
 }
 
 // releaseClaim deletes the cluster's claim if it is still ours —

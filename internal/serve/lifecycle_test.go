@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +186,39 @@ func TestClaimConcurrentAdoption(t *testing.T) {
 		if winners != 1 {
 			t.Fatalf("round %d: %d replicas adopted cluster \"c\", want exactly 1", round, winners)
 		}
+	}
+}
+
+// TestClaimWithoutOwnerIsAnError: claims are published whole, so a claim
+// file naming no owner is damage. It must fail the adoption loudly —
+// never be taken for an owner called "" (a 421 with no hint), and never
+// be left behind by a winner for a racing loser to read.
+func TestClaimWithoutOwnerIsAnError(t *testing.T) {
+	stateDir := t.TempDir()
+	s := New(Options{StateDir: stateDir, ReplicaID: "http://replica-a"})
+	if err := os.WriteFile(s.claimPath("c"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := s.session("c", 0, nil)
+	var notOwner *notOwnerError
+	if err == nil || errors.As(err, &notOwner) {
+		t.Fatalf("empty claim file: session error %v, want a plain failure", err)
+	}
+	if err := s.refreshClaim("c"); err == nil || errors.As(err, &notOwner) {
+		t.Fatalf("empty claim file: refresh error %v, want a plain failure", err)
+	}
+
+	// A won claim is complete the moment it exists, and the temp file it
+	// was staged in is gone.
+	if err := s.acquireClaim("d"); err != nil {
+		t.Fatal(err)
+	}
+	if owner, _, err := readClaim(s.claimPath("d")); err != nil || owner != "http://replica-a" {
+		t.Fatalf("fresh claim reads %q, %v", owner, err)
+	}
+	left, err := filepath.Glob(filepath.Join(stateDir, ".claim-*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("staging files left behind: %v %v", left, err)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -373,13 +374,34 @@ func acceptsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), api.ContentTypeBinary)
 }
 
+// sizedReader announces how many bytes the reader is expected to
+// yield, so the binary decoders read a document into one buffer of
+// that size instead of growing one. A hint only: they cap what they
+// allocate on it and read shorter or longer input correctly.
+type sizedReader struct {
+	io.Reader
+	n int64
+}
+
+func (r sizedReader) Len() int { return int(r.n) }
+
+// requestBody bounds a request body by MaxBodyBytes — oversize is still
+// rejected mid-read — and passes on the length the client announced.
+func (s *Server) requestBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	if r.ContentLength <= 0 {
+		return body
+	}
+	return sizedReader{body, r.ContentLength}
+}
+
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := s.requestBody(w, r)
 	var req *api.PlanRequest
 	var err error
 	if sendsBinary(r) {

@@ -86,6 +86,7 @@ func BenchmarkServePlan(b *testing.B) {
 	const nodes, jobs = 500, 5000
 
 	b.Run(fmt.Sprintf("cold/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		body := servePlanBody(b, steadyWireSnapshot(b, nodes, jobs, 65), "")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -95,6 +96,7 @@ func BenchmarkServePlan(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("coldBinary/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		// The same cold request over the compact binary codec, both
 		// directions — the wire-overhead share of the cold path is what
 		// the codec can remove. The benchmark gate holds the cold/
@@ -122,6 +124,7 @@ func BenchmarkServePlan(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("steadyFull/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		// Pre-encode drifting-demand bodies; a fresh demand level every
 		// request keeps the session on the carry-over tier (genuine
 		// re-plans, never exact-snapshot replays).
@@ -139,6 +142,7 @@ func BenchmarkServePlan(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("steadyDelta/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		srv := serve.New(serve.Options{})
 		warm := steadyWireSnapshot(b, nodes, jobs, 65)
 		doPlan(b, srv, servePlanBody(b, warm, ""))
@@ -167,6 +171,7 @@ func BenchmarkServePlan(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("steadyReplay/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		srv := serve.New(serve.Options{})
 		warm := steadyWireSnapshot(b, nodes, jobs, 65)
 		doPlan(b, srv, servePlanBody(b, warm, ""))
@@ -219,6 +224,7 @@ func BenchmarkServeCheckpoint(b *testing.B) {
 	}
 
 	b.Run(fmt.Sprintf("export/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		srv := warmServer(b, "")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -227,6 +233,7 @@ func BenchmarkServeCheckpoint(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("restore/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		ck := export(b, warmServer(b, ""))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -242,6 +249,7 @@ func BenchmarkServeCheckpoint(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("write/nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+		b.ReportAllocs()
 		// A durable server re-planning with no drift: the replay tier
 		// answers planning, so the measured cost is dominated by the
 		// checkpoint export + atomic file write each cycle adds.
