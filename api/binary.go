@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unicode/utf8"
 )
 
 // Compact binary codec for the wire schema, negotiated over HTTP via
@@ -96,11 +97,12 @@ const (
 )
 
 // binWriter encodes one binary document and streams it to a sink: the
-// document is never resident whole. Between rows (a node, a job, an
-// action, a placement entry) a buffer past spill bytes is written out
-// and reused, so the sink sees the document's exact bytes in chunks of
-// about that size whatever the document's length. Sink errors latch:
-// after the first, nothing more is written and finish reports it.
+// document is never resident whole. Between rows (each element of a
+// list: a node, a job, an action, a placement entry) a buffer past
+// spill bytes is written out and reused, so the sink sees the
+// document's exact bytes in chunks of about that size whatever the
+// document's length. Sink errors latch: after the first, nothing more
+// is written and finish reports it.
 type binWriter struct {
 	buf   []byte
 	sink  io.Writer
@@ -152,15 +154,8 @@ func (w *binWriter) finish() error {
 	return err
 }
 
-func (w *binWriter) header(kind byte, schemaVersion int) {
-	w.buf = append(w.buf, binaryMagic[:]...)
-	w.buf = append(w.buf, BinaryFormatVersion, kind)
-	w.uvarint(uint64(schemaVersion))
-}
-
 func (w *binWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *binWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *binWriter) intv(v int)       { w.varint(int64(v)) }
 func (w *binWriter) f64(v float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
@@ -171,21 +166,7 @@ func (w *binWriter) boolv(v bool) {
 	}
 	w.buf = append(w.buf, b)
 }
-func (w *binWriter) str(s string)   { w.uvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
-func (w *binWriter) count(n int)    { w.uvarint(uint64(n)) }
-func (w *binWriter) byteVal(b byte) { w.buf = append(w.buf, b) }
-func (w *binWriter) floatMap(m map[string]Float) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.count(len(keys))
-	for _, k := range keys {
-		w.str(k)
-		w.f64(float64(m[k]))
-	}
-}
+func (w *binWriter) str(s string) { w.uvarint(uint64(len(s))); w.buf = append(w.buf, s...) }
 
 // binReader consumes one binary document. Errors latch: after the
 // first failure every read returns zero values.
@@ -202,30 +183,6 @@ func (r *binReader) fail(format string, args ...any) {
 }
 
 func (r *binReader) remaining() int { return len(r.data) - r.off }
-
-func (r *binReader) header(wantKind byte) int {
-	if r.remaining() < len(binaryMagic)+2 {
-		r.fail("truncated header")
-		return 0
-	}
-	if [4]byte(r.data[r.off:r.off+4]) != binaryMagic {
-		r.fail("bad magic")
-		return 0
-	}
-	r.off += 4
-	format := r.data[r.off]
-	kind := r.data[r.off+1]
-	r.off += 2
-	if format != BinaryFormatVersion {
-		r.fail("format version %d (this build reads exactly %d; fall back to JSON)", format, BinaryFormatVersion)
-		return 0
-	}
-	if kind != wantKind {
-		r.fail("document kind %d, want %d", kind, wantKind)
-		return 0
-	}
-	return int(r.uvarint())
-}
 
 func (r *binReader) uvarint() uint64 {
 	if r.err != nil {
@@ -262,8 +219,6 @@ func (r *binReader) varint() int64 {
 	r.off += n
 	return v
 }
-
-func (r *binReader) intv() int { return int(r.varint()) }
 
 func (r *binReader) f64() float64 {
 	if r.err != nil {
@@ -311,7 +266,8 @@ func (r *binReader) byteVal() byte {
 func (r *binReader) str() string { return string(r.strBytes()) }
 
 // strBytes reads a string's bytes without copying them out of the
-// document.
+// document. They must be UTF-8: JSON, the canonical form, cannot carry
+// anything else, so accepting it would let the codecs disagree.
 func (r *binReader) strBytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
@@ -322,24 +278,23 @@ func (r *binReader) strBytes() []byte {
 		return nil
 	}
 	b := r.data[r.off : r.off+int(n)]
+	if !validUTF8(b) {
+		r.fail("string at %d is not valid UTF-8", r.off)
+		return nil
+	}
 	r.off += int(n)
 	return b
 }
 
-// jobState reads a job state string. One document repeats the same
-// three strings thousands of times; they decode to the constants
-// instead of a fresh copy each.
-func (r *binReader) jobState() string {
-	b := r.strBytes()
-	switch string(b) {
-	case JobPending:
-		return JobPending
-	case JobRunning:
-		return JobRunning
-	case JobSuspended:
-		return JobSuspended
+// validUTF8 is utf8.Valid with a fast path for the ASCII identifiers
+// that make up nearly every string on the wire.
+func validUTF8(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return utf8.Valid(b)
+		}
 	}
-	return string(b)
+	return true
 }
 
 // count reads an element count and bounds it by the bytes remaining:
@@ -350,39 +305,11 @@ func (r *binReader) count(minBytes int) int {
 	if r.err != nil {
 		return 0
 	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
 	if n > uint64(r.remaining()/minBytes) {
 		r.fail("count %d exceeds remaining input", n)
 		return 0
 	}
 	return int(n)
-}
-
-func (r *binReader) floatMap() map[string]Float {
-	n := r.count(9)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]Float, n)
-	prev := ""
-	for i := 0; i < n; i++ {
-		k := r.str()
-		v := r.f64()
-		if r.err != nil {
-			return nil
-		}
-		// Keys arrive in strictly increasing order (the canonical form
-		// the writer emits); anything else is two wire forms for one map.
-		if i > 0 && k <= prev {
-			r.fail("map keys not in canonical order (%q after %q)", k, prev)
-			return nil
-		}
-		prev = k
-		m[k] = Float(v)
-	}
-	return m
 }
 
 // readAll is io.ReadAll with the buffer sized up front when the reader
@@ -414,545 +341,451 @@ func (r *binReader) finish() error {
 	return nil
 }
 
-// --- Snapshot ---
-
-func (w *binWriter) snapshotBody(s *Snapshot) {
-	w.f64(s.Now)
-	w.count(len(s.Nodes))
-	for _, n := range s.Nodes {
-		w.str(n.ID)
-		w.f64(n.CPUMHz)
-		w.varint(n.MemMB)
-		w.row()
-	}
-	w.count(len(s.Jobs))
-	for i := range s.Jobs {
-		w.job(&s.Jobs[i])
-	}
-	w.count(len(s.Apps))
-	for i := range s.Apps {
-		w.app(&s.Apps[i])
-	}
+// binCodec walks one binary document field by field in either
+// direction. Encoding, w is set and each call writes the field it is
+// handed; decoding, r is set and the same call reads the field into
+// that place. Each wire type's layout is therefore one walk (binJob,
+// binPlan, ...) declared once for both directions, so the encoder and
+// decoder cannot disagree. A decode error latches in r like any other:
+// a walk never stops early, every later read is a no-op returning zero.
+type binCodec struct {
+	w *binWriter
+	r *binReader
 }
 
-func (r *binReader) snapshotBody(version int) *Snapshot {
-	s := &Snapshot{SchemaVersion: version, Now: r.f64()}
-	if n := r.count(2); n > 0 {
-		s.Nodes = make([]Node, n)
-		for i := range s.Nodes {
-			s.Nodes[i] = Node{ID: r.str(), CPUMHz: r.f64(), MemMB: r.varint()}
-		}
-	}
-	if n := r.count(8); n > 0 {
-		s.Jobs = make([]Job, n)
-		for i := range s.Jobs {
-			s.Jobs[i] = r.job()
-		}
-	}
-	if n := r.count(8); n > 0 {
-		s.Apps = make([]App, n)
-		for i := range s.Apps {
-			s.Apps[i] = r.app()
-		}
-	}
-	return s
-}
-
-func (w *binWriter) job(j *Job) {
-	w.str(j.ID)
-	w.str(j.Class)
-	w.str(j.State)
-	w.str(j.Node)
-	w.f64(j.ShareMHz)
-	w.boolv(j.Migrating)
-	w.f64(j.RemainingMHzs)
-	w.f64(j.MaxSpeedMHz)
-	w.varint(j.MemMB)
-	w.f64(j.GoalSec)
-	w.f64(j.SubmittedSec)
-	w.utilityFn(j.Utility)
-	w.row()
-}
-
-func (r *binReader) job() Job {
-	return Job{
-		ID: r.str(), Class: r.str(), State: r.jobState(), Node: r.str(),
-		ShareMHz: r.f64(), Migrating: r.boolv(),
-		RemainingMHzs: r.f64(), MaxSpeedMHz: r.f64(), MemMB: r.varint(),
-		GoalSec: r.f64(), SubmittedSec: r.f64(), Utility: r.utilityFn(),
-	}
-}
-
-func (w *binWriter) app(a *App) {
-	w.str(a.ID)
-	w.f64(a.Lambda)
-	w.f64(a.RTGoalSec)
-	w.str(a.Model.Type)
-	w.f64(a.Model.DemandMHzs)
-	w.f64(a.Model.CoreSpeedMHz)
-	w.utilityFn(a.Utility)
-	w.varint(a.InstanceMemMB)
-	w.f64(a.MaxPerInstanceMHz)
-	w.intv(a.MinInstances)
-	w.intv(a.MaxInstances)
-	w.count(len(a.Instances))
-	for _, in := range a.Instances {
-		w.str(in.Node)
-		w.f64(in.ShareMHz)
-	}
-	w.f64(float64(a.MeasuredRTSec))
-	w.row()
-}
-
-func (r *binReader) app() App {
-	a := App{
-		ID: r.str(), Lambda: r.f64(), RTGoalSec: r.f64(),
-		Model:   Model{Type: r.str(), DemandMHzs: r.f64(), CoreSpeedMHz: r.f64()},
-		Utility: r.utilityFn(),
-	}
-	a.InstanceMemMB = r.varint()
-	a.MaxPerInstanceMHz = r.f64()
-	a.MinInstances = r.intv()
-	a.MaxInstances = r.intv()
-	if n := r.count(9); n > 0 {
-		a.Instances = make([]Instance, n)
-		for i := range a.Instances {
-			a.Instances[i] = Instance{Node: r.str(), ShareMHz: r.f64()}
-		}
-	}
-	a.MeasuredRTSec = Float(r.f64())
-	return a
-}
-
-func (w *binWriter) utilityFn(u *UtilityFn) {
-	w.boolv(u != nil)
-	if u == nil {
+// header frames a document: the magic, the binary format version and
+// the document kind.
+func (c *binCodec) header(kind byte) {
+	if c.w != nil {
+		c.w.buf = append(append(c.w.buf, binaryMagic[:]...), BinaryFormatVersion, kind)
 		return
 	}
-	w.str(u.Type)
-	w.f64(u.Floor)
-	w.f64(u.K)
-	w.count(len(u.Points))
-	for _, p := range u.Points {
-		w.f64(p.P)
-		w.f64(p.U)
+	r := c.r
+	switch {
+	case r.remaining() < len(binaryMagic)+2:
+		r.fail("truncated header")
+	case [4]byte(r.data) != binaryMagic:
+		r.fail("bad magic")
+	case r.data[4] != BinaryFormatVersion:
+		r.fail("format version %d (this build reads exactly %d; fall back to JSON)", r.data[4], BinaryFormatVersion)
+	case r.data[5] != kind:
+		r.fail("document kind %d, want %d", r.data[5], kind)
+	default:
+		r.off = len(binaryMagic) + 2
 	}
 }
 
-func (r *binReader) utilityFn() *UtilityFn {
-	if !r.boolv() {
-		return nil
+// version frames a document's schema version: stamped with
+// SchemaVersion when the caller left it zero on encode, checked by
+// CheckVersion on decode.
+func (c *binCodec) version(v *int) {
+	if c.w != nil {
+		if *v == 0 {
+			*v = SchemaVersion
+		}
+		c.w.uvarint(uint64(*v))
+		return
 	}
-	u := &UtilityFn{Type: r.str(), Floor: r.f64(), K: r.f64()}
-	if n := r.count(16); n > 0 {
-		u.Points = make([]Point, n)
-		for i := range u.Points {
-			u.Points[i] = Point{P: r.f64(), U: r.f64()}
+	*v = int(c.r.uvarint())
+	if c.r.err == nil {
+		c.r.err = CheckVersion(*v)
+	}
+}
+
+func (c *binCodec) str(s *string) {
+	if c.w != nil {
+		c.w.str(*s)
+	} else {
+		*s = c.r.str()
+	}
+}
+
+// jobState is str for a job state. One document repeats the same
+// three state strings thousands of times; they decode to the constants
+// instead of a fresh copy each.
+func (c *binCodec) jobState(s *string) {
+	if c.w != nil {
+		c.w.str(*s)
+		return
+	}
+	switch b := c.r.strBytes(); string(b) {
+	case JobPending:
+		*s = JobPending
+	case JobRunning:
+		*s = JobRunning
+	case JobSuspended:
+		*s = JobSuspended
+	default:
+		*s = string(b)
+	}
+}
+
+func (c *binCodec) f64(v *float64) {
+	if c.w != nil {
+		c.w.f64(*v)
+	} else {
+		*v = c.r.f64()
+	}
+}
+
+func (c *binCodec) float(v *Float) { c.f64((*float64)(v)) }
+
+func (c *binCodec) i64(v *int64) {
+	if c.w != nil {
+		c.w.varint(*v)
+	} else {
+		*v = c.r.varint()
+	}
+}
+
+func (c *binCodec) intv(v *int) {
+	if c.w != nil {
+		c.w.varint(int64(*v))
+	} else {
+		*v = int(c.r.varint())
+	}
+}
+
+func (c *binCodec) boolv(v *bool) {
+	if c.w != nil {
+		c.w.boolv(*v)
+	} else {
+		*v = c.r.boolv()
+	}
+}
+
+// present frames an optional part behind a presence byte: it writes has
+// when encoding, and reports whether the part follows either way.
+func (c *binCodec) present(has bool) bool {
+	c.boolv(&has)
+	return has
+}
+
+// actionType frames an action type as its one-byte code. An unknown
+// type encodes as 0, which decoding rejects; FromCorePlan emits none.
+func (c *binCodec) actionType(t *string) {
+	if c.w != nil {
+		c.w.buf = append(c.w.buf, actionCode[*t])
+		return
+	}
+	code := c.r.byteVal()
+	name, ok := actionName[code]
+	if !ok && c.r.err == nil {
+		c.r.fail("unknown action code %d", code)
+	}
+	*t = name
+}
+
+// floatMap frames a map as its entries in strictly increasing key
+// order: the writer sorts, the reader rejects any other order as a
+// second wire form of the same map.
+func (c *binCodec) floatMap(m *map[string]Float) {
+	if c.w != nil {
+		keys := make([]string, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		c.w.uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			c.w.str(k)
+			c.w.f64(float64((*m)[k]))
+		}
+		return
+	}
+	r := c.r
+	n := r.count(9)
+	if n == 0 {
+		return
+	}
+	out := make(map[string]Float, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		k, v := r.str(), r.f64()
+		if r.err != nil {
+			return
+		}
+		if i > 0 && k <= prev {
+			r.fail("map keys not in canonical order (%q after %q)", k, prev)
+			return
+		}
+		prev = k
+		out[k] = Float(v)
+	}
+	*m = out
+}
+
+// binSlice frames a slice: its length, then each element through walk,
+// a row each. A decoded length is bounded by the bytes remaining at
+// minBytes per element before anything is allocated; an empty slice
+// leaves *s as it was (nil in a fresh document).
+func binSlice[T any](c *binCodec, s *[]T, minBytes int, walk func(*binCodec, *T)) {
+	if c.w != nil {
+		c.w.uvarint(uint64(len(*s)))
+		for i := range *s {
+			walk(c, &(*s)[i])
+			c.w.row()
+		}
+		return
+	}
+	if n := c.r.count(minBytes); n > 0 {
+		*s = make([]T, n)
+		for i := range *s {
+			walk(c, &(*s)[i])
 		}
 	}
-	return u
 }
+
+// binOpt frames an optional pointer part; decoding allocates it.
+func binOpt[T any](c *binCodec, p **T, walk func(*binCodec, *T)) {
+	if c.present(*p != nil) {
+		if *p == nil {
+			*p = new(T)
+		}
+		walk(c, *p)
+	}
+}
+
+// encodeBinary writes one document of the given kind through w, then
+// finishes w.
+func encodeBinary[T any](w *binWriter, kind byte, doc *T, walk func(*binCodec, *T)) error {
+	c := &binCodec{w: w}
+	c.header(kind)
+	walk(c, doc)
+	return w.finish()
+}
+
+// decodeBinary reads one whole document of the given kind from r,
+// requires it to be consumed exactly, then applies check (if any).
+func decodeBinary[T any](r io.Reader, kind byte, walk func(*binCodec, *T), check func(*T) error) (*T, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("api: binary decode: %w", err)
+	}
+	c := &binCodec{r: &binReader{data: data}}
+	doc := new(T)
+	c.header(kind)
+	walk(c, doc)
+	if err := c.r.finish(); err != nil {
+		return nil, err
+	}
+	if check != nil {
+		if err := check(doc); err != nil {
+			return nil, err
+		}
+	}
+	return doc, nil
+}
+
+// --- Layouts ---
+
+func binSnapshot(c *binCodec, s *Snapshot) {
+	c.version(&s.SchemaVersion)
+	c.f64(&s.Now)
+	binSlice(c, &s.Nodes, 2, binNode)
+	binSlice(c, &s.Jobs, 8, binJob)
+	binSlice(c, &s.Apps, 8, binApp)
+}
+
+func binNode(c *binCodec, n *Node) {
+	c.str(&n.ID)
+	c.f64(&n.CPUMHz)
+	c.i64(&n.MemMB)
+}
+
+func binJob(c *binCodec, j *Job) {
+	c.str(&j.ID)
+	c.str(&j.Class)
+	c.jobState(&j.State)
+	c.str(&j.Node)
+	c.f64(&j.ShareMHz)
+	c.boolv(&j.Migrating)
+	c.f64(&j.RemainingMHzs)
+	c.f64(&j.MaxSpeedMHz)
+	c.i64(&j.MemMB)
+	c.f64(&j.GoalSec)
+	c.f64(&j.SubmittedSec)
+	binOpt(c, &j.Utility, binUtilityFn)
+}
+
+func binApp(c *binCodec, a *App) {
+	c.str(&a.ID)
+	c.f64(&a.Lambda)
+	c.f64(&a.RTGoalSec)
+	c.str(&a.Model.Type)
+	c.f64(&a.Model.DemandMHzs)
+	c.f64(&a.Model.CoreSpeedMHz)
+	binOpt(c, &a.Utility, binUtilityFn)
+	c.i64(&a.InstanceMemMB)
+	c.f64(&a.MaxPerInstanceMHz)
+	c.intv(&a.MinInstances)
+	c.intv(&a.MaxInstances)
+	binSlice(c, &a.Instances, 9, binInstance)
+	c.float(&a.MeasuredRTSec)
+}
+
+func binInstance(c *binCodec, in *Instance) {
+	c.str(&in.Node)
+	c.f64(&in.ShareMHz)
+}
+
+func binUtilityFn(c *binCodec, u *UtilityFn) {
+	c.str(&u.Type)
+	c.f64(&u.Floor)
+	c.f64(&u.K)
+	binSlice(c, &u.Points, 16, func(c *binCodec, p *Point) {
+		c.f64(&p.P)
+		c.f64(&p.U)
+	})
+}
+
+func binPlan(c *binCodec, p *Plan) {
+	c.version(&p.SchemaVersion)
+	binSlice(c, &p.Actions, 12, binAction)
+	binSlice(c, &p.Placement.Jobs, 4, func(c *binCodec, j *JobPlacement) {
+		c.str(&j.ID)
+		c.jobState(&j.State)
+		c.str(&j.Node)
+		c.f64(&j.ShareMHz)
+	})
+	binSlice(c, &p.Placement.Apps, 2, func(c *binCodec, a *AppPlacement) {
+		c.str(&a.ID)
+		binSlice(c, &a.Instances, 9, binInstance)
+	})
+	d := &p.Diagnostics
+	c.float(&d.EqualizedUtility)
+	c.float(&d.HypotheticalJobUtility)
+	c.floatMap(&d.ClassHypoUtility)
+	c.float(&d.JobDemandMHz)
+	c.float(&d.JobTargetMHz)
+	c.floatMap(&d.AppPrediction)
+	c.floatMap(&d.AppDemandMHz)
+	c.floatMap(&d.AppTargetMHz)
+}
+
+func binAction(c *binCodec, a *Action) {
+	c.actionType(&a.Type)
+	c.str(&a.Job)
+	c.str(&a.App)
+	c.str(&a.Node)
+	c.f64(&a.ShareMHz)
+}
+
+func binForecastConfig(c *binCodec, f *ForecastConfig) {
+	c.str(&f.Predictor)
+	c.intv(&f.Window)
+	c.f64(&f.HoltAlpha)
+	c.f64(&f.HoltBeta)
+	c.intv(&f.AROrder)
+	binOpt(c, &f.CorrectionAlpha, (*binCodec).f64)
+}
+
+func binForecastState(c *binCodec, s *ForecastState) {
+	binForecastConfig(c, &s.Config)
+	c.boolv(&s.HasNow)
+	c.f64(&s.LastNowSec)
+	binSlice(c, &s.Apps, 20, func(c *binCodec, a *ForecastApp) {
+		c.str(&a.ID)
+		binSlice(c, &a.History, 8, (*binCodec).f64)
+		c.f64(&a.Factor)
+		c.intv(&a.CorrectionSamples)
+		c.boolv(&a.HasPred)
+		c.f64(&a.PredForSec)
+		c.f64(&a.Pred)
+	})
+}
+
+func binDelta(c *binCodec, d *SnapshotDelta) {
+	c.intv(&d.BaseCycle)
+	c.f64(&d.Now)
+	// Nodes present but empty empties the node list; absent keeps it.
+	if c.present(d.Nodes != nil) {
+		if d.Nodes == nil {
+			d.Nodes = []Node{}
+		}
+		binSlice(c, &d.Nodes, 2, binNode)
+	}
+	binSlice(c, &d.UpsertJobs, 8, binJob)
+	binSlice(c, &d.RemoveJobs, 1, (*binCodec).str)
+	binSlice(c, &d.UpsertApps, 8, binApp)
+	binSlice(c, &d.RemoveApps, 1, (*binCodec).str)
+}
+
+func binPlanRequest(c *binCodec, req *PlanRequest) {
+	c.version(&req.SchemaVersion)
+	c.str(&req.ClusterID) // first, for PeekPlanRequestClusterBinary
+	binOpt(c, &req.Snapshot, binSnapshot)
+	binOpt(c, &req.Delta, binDelta)
+	c.str(&req.Reply)
+	c.intv(&req.Shards)
+	binOpt(c, &req.Forecast, binForecastConfig)
+}
+
+func binPlanResponse(c *binCodec, resp *PlanResponse) {
+	c.version(&resp.SchemaVersion)
+	c.str(&resp.ClusterID)
+	c.intv(&resp.Cycle)
+	c.str(&resp.PlanMode)
+	binOpt(c, &resp.Stats, func(c *binCodec, s *PlanStats) {
+		c.intv(&s.Full)
+		c.intv(&s.Incremental)
+		c.intv(&s.Replayed)
+		c.str(&s.LastMode)
+		c.f64(&s.LastDemandDeltaMHz)
+	})
+	binOpt(c, &resp.Plan, binPlan)
+	binSlice(c, &resp.Delta, 12, binAction)
+}
+
+func binCheckpoint(c *binCodec, ck *Checkpoint) {
+	c.version(&ck.SchemaVersion)
+	c.str(&ck.ClusterID)
+	c.str(&ck.Controller)
+	c.intv(&ck.Cycle)
+	c.boolv(&ck.HasNow)
+	c.f64(&ck.LastNowSec)
+	c.intv(&ck.Shards)
+	binSlice(c, &ck.ShardBounds, 1, (*binCodec).intv)
+	c.intv(&ck.ShardReshards)
+	binOpt(c, &ck.Snapshot, binSnapshot)
+	binOpt(c, &ck.Plan, binPlan)
+	binOpt(c, &ck.Forecast, binForecastState)
+}
+
+// --- Documents ---
 
 // EncodeSnapshotBinary writes one snapshot in the binary form,
 // stamping the schema version if the caller left it zero.
 func EncodeSnapshotBinary(w io.Writer, s *Snapshot) error {
-	bw := newBinWriter(w)
-	bw.snapshotDoc(s)
-	return bw.finish()
-}
-
-func (w *binWriter) snapshotDoc(s *Snapshot) {
-	if s.SchemaVersion == 0 {
-		s.SchemaVersion = SchemaVersion
-	}
-	w.header(binKindSnapshot, s.SchemaVersion)
-	w.snapshotBody(s)
+	return encodeBinary(newBinWriter(w), binKindSnapshot, s, binSnapshot)
 }
 
 // DecodeSnapshotBinary reads, version-checks and validates one binary
 // snapshot.
 func DecodeSnapshotBinary(r io.Reader) (*Snapshot, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("api: binary decode: %w", err)
-	}
-	br := &binReader{data: data}
-	version := br.header(binKindSnapshot)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return nil, err
-		}
-	}
-	s := br.snapshotBody(version)
-	if err := br.finish(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// --- Plan ---
-
-func (w *binWriter) planBody(p *Plan) {
-	w.actions(p.Actions)
-	w.count(len(p.Placement.Jobs))
-	for _, j := range p.Placement.Jobs {
-		w.str(j.ID)
-		w.str(j.State)
-		w.str(j.Node)
-		w.f64(j.ShareMHz)
-		w.row()
-	}
-	w.count(len(p.Placement.Apps))
-	for _, a := range p.Placement.Apps {
-		w.str(a.ID)
-		w.count(len(a.Instances))
-		for _, in := range a.Instances {
-			w.str(in.Node)
-			w.f64(in.ShareMHz)
-		}
-		w.row()
-	}
-	w.f64(float64(p.Diagnostics.EqualizedUtility))
-	w.f64(float64(p.Diagnostics.HypotheticalJobUtility))
-	w.floatMap(p.Diagnostics.ClassHypoUtility)
-	w.f64(float64(p.Diagnostics.JobDemandMHz))
-	w.f64(float64(p.Diagnostics.JobTargetMHz))
-	w.floatMap(p.Diagnostics.AppPrediction)
-	w.floatMap(p.Diagnostics.AppDemandMHz)
-	w.floatMap(p.Diagnostics.AppTargetMHz)
-}
-
-func (r *binReader) planBody(version int) *Plan {
-	p := &Plan{SchemaVersion: version}
-	p.Actions = r.actions()
-	if n := r.count(4); n > 0 {
-		p.Placement.Jobs = make([]JobPlacement, n)
-		for i := range p.Placement.Jobs {
-			p.Placement.Jobs[i] = JobPlacement{ID: r.str(), State: r.jobState(), Node: r.str(), ShareMHz: r.f64()}
-		}
-	}
-	if n := r.count(2); n > 0 {
-		p.Placement.Apps = make([]AppPlacement, n)
-		for i := range p.Placement.Apps {
-			a := AppPlacement{ID: r.str()}
-			if m := r.count(9); m > 0 {
-				a.Instances = make([]Instance, m)
-				for k := range a.Instances {
-					a.Instances[k] = Instance{Node: r.str(), ShareMHz: r.f64()}
-				}
-			}
-			p.Placement.Apps[i] = a
-		}
-	}
-	p.Diagnostics.EqualizedUtility = Float(r.f64())
-	p.Diagnostics.HypotheticalJobUtility = Float(r.f64())
-	p.Diagnostics.ClassHypoUtility = r.floatMap()
-	p.Diagnostics.JobDemandMHz = Float(r.f64())
-	p.Diagnostics.JobTargetMHz = Float(r.f64())
-	p.Diagnostics.AppPrediction = r.floatMap()
-	p.Diagnostics.AppDemandMHz = r.floatMap()
-	p.Diagnostics.AppTargetMHz = r.floatMap()
-	return p
-}
-
-func (w *binWriter) actions(actions []Action) {
-	w.count(len(actions))
-	for _, a := range actions {
-		code, ok := actionCode[a.Type]
-		if !ok {
-			code = 0 // decoder rejects; unknown actions cannot arise from FromCorePlan
-		}
-		w.byteVal(code)
-		w.str(a.Job)
-		w.str(a.App)
-		w.str(a.Node)
-		w.f64(a.ShareMHz)
-		w.row()
-	}
-}
-
-func (r *binReader) actions() []Action {
-	n := r.count(12)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Action, n)
-	for i := range out {
-		code := r.byteVal()
-		name, ok := actionName[code]
-		if !ok && r.err == nil {
-			r.fail("unknown action code %d", code)
-		}
-		out[i] = Action{Type: name, Job: r.str(), App: r.str(), Node: r.str(), ShareMHz: r.f64()}
-	}
-	return out
+	return decodeBinary(r, binKindSnapshot, binSnapshot, (*Snapshot).Validate)
 }
 
 // EncodePlanBinary writes one plan in the binary form.
 func EncodePlanBinary(w io.Writer, p *Plan) error {
-	bw := newBinWriter(w)
-	bw.planDoc(p)
-	return bw.finish()
-}
-
-func (w *binWriter) planDoc(p *Plan) {
-	if p.SchemaVersion == 0 {
-		p.SchemaVersion = SchemaVersion
-	}
-	w.header(binKindPlan, p.SchemaVersion)
-	w.planBody(p)
+	return encodeBinary(newBinWriter(w), binKindPlan, p, binPlan)
 }
 
 // DecodePlanBinary reads and version-checks one binary plan.
 func DecodePlanBinary(r io.Reader) (*Plan, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("api: binary decode: %w", err)
-	}
-	br := &binReader{data: data}
-	version := br.header(binKindPlan)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return nil, err
-		}
-	}
-	p := br.planBody(version)
-	if err := br.finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// --- Forecast ---
-
-func (w *binWriter) forecastConfig(c *ForecastConfig) {
-	w.str(c.Predictor)
-	w.intv(c.Window)
-	w.f64(c.HoltAlpha)
-	w.f64(c.HoltBeta)
-	w.intv(c.AROrder)
-	w.boolv(c.CorrectionAlpha != nil)
-	if c.CorrectionAlpha != nil {
-		w.f64(*c.CorrectionAlpha)
-	}
-}
-
-func (r *binReader) forecastConfig() ForecastConfig {
-	c := ForecastConfig{
-		Predictor: r.str(), Window: r.intv(),
-		HoltAlpha: r.f64(), HoltBeta: r.f64(), AROrder: r.intv(),
-	}
-	if r.boolv() {
-		alpha := r.f64()
-		c.CorrectionAlpha = &alpha
-	}
-	return c
-}
-
-func (w *binWriter) forecastState(s *ForecastState) {
-	w.forecastConfig(&s.Config)
-	w.boolv(s.HasNow)
-	w.f64(s.LastNowSec)
-	w.count(len(s.Apps))
-	for _, a := range s.Apps {
-		w.str(a.ID)
-		w.count(len(a.History))
-		for _, v := range a.History {
-			w.f64(v)
-		}
-		w.f64(a.Factor)
-		w.intv(a.CorrectionSamples)
-		w.boolv(a.HasPred)
-		w.f64(a.PredForSec)
-		w.f64(a.Pred)
-		w.row()
-	}
-}
-
-func (r *binReader) forecastState() *ForecastState {
-	s := &ForecastState{Config: r.forecastConfig(), HasNow: r.boolv(), LastNowSec: r.f64()}
-	if n := r.count(20); n > 0 {
-		s.Apps = make([]ForecastApp, n)
-		for i := range s.Apps {
-			a := ForecastApp{ID: r.str()}
-			if m := r.count(8); m > 0 {
-				a.History = make([]float64, m)
-				for k := range a.History {
-					a.History[k] = r.f64()
-				}
-			}
-			a.Factor = r.f64()
-			a.CorrectionSamples = r.intv()
-			a.HasPred = r.boolv()
-			a.PredForSec = r.f64()
-			a.Pred = r.f64()
-			s.Apps[i] = a
-		}
-	}
-	return s
-}
-
-// --- PlanRequest ---
-
-func (w *binWriter) delta(d *SnapshotDelta) {
-	w.intv(d.BaseCycle)
-	w.f64(d.Now)
-	w.boolv(d.Nodes != nil)
-	if d.Nodes != nil {
-		w.count(len(d.Nodes))
-		for _, n := range d.Nodes {
-			w.str(n.ID)
-			w.f64(n.CPUMHz)
-			w.varint(n.MemMB)
-			w.row()
-		}
-	}
-	w.count(len(d.UpsertJobs))
-	for i := range d.UpsertJobs {
-		w.job(&d.UpsertJobs[i])
-	}
-	w.count(len(d.RemoveJobs))
-	for _, id := range d.RemoveJobs {
-		w.str(id)
-		w.row()
-	}
-	w.count(len(d.UpsertApps))
-	for i := range d.UpsertApps {
-		w.app(&d.UpsertApps[i])
-	}
-	w.count(len(d.RemoveApps))
-	for _, id := range d.RemoveApps {
-		w.str(id)
-		w.row()
-	}
-}
-
-func (r *binReader) delta() *SnapshotDelta {
-	d := &SnapshotDelta{BaseCycle: r.intv(), Now: r.f64()}
-	if r.boolv() {
-		n := r.count(2)
-		d.Nodes = make([]Node, n)
-		for i := range d.Nodes {
-			d.Nodes[i] = Node{ID: r.str(), CPUMHz: r.f64(), MemMB: r.varint()}
-		}
-	}
-	if n := r.count(8); n > 0 {
-		d.UpsertJobs = make([]Job, n)
-		for i := range d.UpsertJobs {
-			d.UpsertJobs[i] = r.job()
-		}
-	}
-	if n := r.count(1); n > 0 {
-		d.RemoveJobs = make([]string, n)
-		for i := range d.RemoveJobs {
-			d.RemoveJobs[i] = r.str()
-		}
-	}
-	if n := r.count(8); n > 0 {
-		d.UpsertApps = make([]App, n)
-		for i := range d.UpsertApps {
-			d.UpsertApps[i] = r.app()
-		}
-	}
-	if n := r.count(1); n > 0 {
-		d.RemoveApps = make([]string, n)
-		for i := range d.RemoveApps {
-			d.RemoveApps[i] = r.str()
-		}
-	}
-	return d
+	return decodeBinary(r, binKindPlan, binPlan, nil)
 }
 
 // EncodePlanRequestBinary writes one plan request in the binary form.
 func EncodePlanRequestBinary(w io.Writer, req *PlanRequest) error {
-	bw := newBinWriter(w)
-	bw.planRequestDoc(req)
-	return bw.finish()
-}
-
-func (w *binWriter) planRequestDoc(req *PlanRequest) {
-	if req.SchemaVersion == 0 {
-		req.SchemaVersion = SchemaVersion
-	}
-	if req.Snapshot != nil && req.Snapshot.SchemaVersion == 0 {
-		req.Snapshot.SchemaVersion = SchemaVersion
-	}
-	w.header(binKindPlanRequest, req.SchemaVersion)
-	w.str(req.ClusterID)
-	w.boolv(req.Snapshot != nil)
-	if req.Snapshot != nil {
-		w.uvarint(uint64(req.Snapshot.SchemaVersion))
-		w.snapshotBody(req.Snapshot)
-	}
-	w.boolv(req.Delta != nil)
-	if req.Delta != nil {
-		w.delta(req.Delta)
-	}
-	w.str(req.Reply)
-	w.intv(req.Shards)
-	w.boolv(req.Forecast != nil)
-	if req.Forecast != nil {
-		w.forecastConfig(req.Forecast)
-	}
+	return encodeBinary(newBinWriter(w), binKindPlanRequest, req, binPlanRequest)
 }
 
 // DecodePlanRequestBinary reads, version-checks and shape-checks one
 // binary plan request (the same contract as DecodePlanRequest: the
 // embedded snapshot or delta is content-validated by the session).
 func DecodePlanRequestBinary(r io.Reader) (*PlanRequest, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("api: binary decode: %w", err)
-	}
-	br := &binReader{data: data}
-	version := br.header(binKindPlanRequest)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return nil, err
-		}
-	}
-	req := &PlanRequest{SchemaVersion: version, ClusterID: br.str()}
-	if br.boolv() {
-		snapVersion := int(br.uvarint())
-		if br.err == nil {
-			if err := CheckVersion(snapVersion); err != nil {
-				return nil, err
-			}
-		}
-		req.Snapshot = br.snapshotBody(snapVersion)
-	}
-	if br.boolv() {
-		req.Delta = br.delta()
-	}
-	req.Reply = br.str()
-	req.Shards = br.intv()
-	if br.boolv() {
-		fc := br.forecastConfig()
-		req.Forecast = &fc
-	}
-	if err := br.finish(); err != nil {
-		return nil, err
-	}
-	if (req.Snapshot == nil) == (req.Delta == nil) {
-		return nil, fmt.Errorf("api: plan request needs exactly one of snapshot and delta")
-	}
-	switch req.Reply {
-	case "", ReplyFull, ReplyDelta:
-	default:
-		return nil, fmt.Errorf("api: unknown reply mode %q", req.Reply)
-	}
-	if req.Shards < 0 || req.Shards > MaxShards {
-		return nil, fmt.Errorf("api: shards %d outside [0, %d]", req.Shards, MaxShards)
-	}
-	if req.Forecast != nil {
-		if err := req.Forecast.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return req, nil
+	return decodeBinary(r, binKindPlanRequest, binPlanRequest, (*PlanRequest).checkShape)
 }
 
 // PeekPlanRequestClusterBinary reads only the header and cluster ID of
@@ -962,191 +795,32 @@ func DecodePlanRequestBinary(r io.Reader) (*PlanRequest, error) {
 // validated; the serving replica remains the authority on request
 // shape.
 func PeekPlanRequestClusterBinary(data []byte) (string, error) {
-	br := &binReader{data: data}
-	version := br.header(binKindPlanRequest)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return "", err
-		}
-	}
-	cluster := br.str()
-	if br.err != nil {
-		return "", br.err
-	}
-	return cluster, nil
+	c := &binCodec{r: &binReader{data: data}}
+	var req PlanRequest
+	c.header(binKindPlanRequest)
+	c.version(&req.SchemaVersion)
+	c.str(&req.ClusterID)
+	return req.ClusterID, c.r.err
 }
-
-// --- PlanResponse ---
 
 // EncodePlanResponseBinary writes one plan response in the binary form.
 func EncodePlanResponseBinary(w io.Writer, resp *PlanResponse) error {
-	bw := newBinWriter(w)
-	bw.planResponseDoc(resp)
-	return bw.finish()
-}
-
-func (w *binWriter) planResponseDoc(resp *PlanResponse) {
-	if resp.SchemaVersion == 0 {
-		resp.SchemaVersion = SchemaVersion
-	}
-	w.header(binKindPlanResponse, resp.SchemaVersion)
-	w.str(resp.ClusterID)
-	w.intv(resp.Cycle)
-	w.str(resp.PlanMode)
-	w.boolv(resp.Stats != nil)
-	if resp.Stats != nil {
-		w.intv(resp.Stats.Full)
-		w.intv(resp.Stats.Incremental)
-		w.intv(resp.Stats.Replayed)
-		w.str(resp.Stats.LastMode)
-		w.f64(resp.Stats.LastDemandDeltaMHz)
-	}
-	w.boolv(resp.Plan != nil)
-	if resp.Plan != nil {
-		if resp.Plan.SchemaVersion == 0 {
-			resp.Plan.SchemaVersion = SchemaVersion
-		}
-		w.uvarint(uint64(resp.Plan.SchemaVersion))
-		w.planBody(resp.Plan)
-	}
-	w.actions(resp.Delta)
+	return encodeBinary(newBinWriter(w), binKindPlanResponse, resp, binPlanResponse)
 }
 
 // DecodePlanResponseBinary reads and version-checks one binary plan
 // response.
 func DecodePlanResponseBinary(r io.Reader) (*PlanResponse, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("api: binary decode: %w", err)
-	}
-	br := &binReader{data: data}
-	version := br.header(binKindPlanResponse)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return nil, err
-		}
-	}
-	resp := &PlanResponse{SchemaVersion: version, ClusterID: br.str(), Cycle: br.intv(), PlanMode: br.str()}
-	if br.boolv() {
-		resp.Stats = &PlanStats{
-			Full: br.intv(), Incremental: br.intv(), Replayed: br.intv(),
-			LastMode: br.str(), LastDemandDeltaMHz: br.f64(),
-		}
-	}
-	if br.boolv() {
-		planVersion := int(br.uvarint())
-		if br.err == nil {
-			if err := CheckVersion(planVersion); err != nil {
-				return nil, err
-			}
-		}
-		resp.Plan = br.planBody(planVersion)
-	}
-	resp.Delta = br.actions()
-	if err := br.finish(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return decodeBinary(r, binKindPlanResponse, binPlanResponse, nil)
 }
-
-// --- Checkpoint ---
 
 // EncodeCheckpointBinary writes one checkpoint in the binary form.
 func EncodeCheckpointBinary(w io.Writer, c *Checkpoint) error {
-	bw := newBinWriter(w)
-	bw.checkpointDoc(c)
-	return bw.finish()
-}
-
-func (w *binWriter) checkpointDoc(c *Checkpoint) {
-	if c.SchemaVersion == 0 {
-		c.SchemaVersion = SchemaVersion
-	}
-	w.header(binKindCheckpoint, c.SchemaVersion)
-	w.str(c.ClusterID)
-	w.str(c.Controller)
-	w.intv(c.Cycle)
-	w.boolv(c.HasNow)
-	w.f64(c.LastNowSec)
-	w.intv(c.Shards)
-	w.count(len(c.ShardBounds))
-	for _, b := range c.ShardBounds {
-		w.intv(b)
-	}
-	w.intv(c.ShardReshards)
-	w.boolv(c.Snapshot != nil)
-	if c.Snapshot != nil {
-		if c.Snapshot.SchemaVersion == 0 {
-			c.Snapshot.SchemaVersion = SchemaVersion
-		}
-		w.uvarint(uint64(c.Snapshot.SchemaVersion))
-		w.snapshotBody(c.Snapshot)
-	}
-	w.boolv(c.Plan != nil)
-	if c.Plan != nil {
-		if c.Plan.SchemaVersion == 0 {
-			c.Plan.SchemaVersion = SchemaVersion
-		}
-		w.uvarint(uint64(c.Plan.SchemaVersion))
-		w.planBody(c.Plan)
-	}
-	w.boolv(c.Forecast != nil)
-	if c.Forecast != nil {
-		w.forecastState(c.Forecast)
-	}
+	return encodeBinary(newBinWriter(w), binKindCheckpoint, c, binCheckpoint)
 }
 
 // DecodeCheckpointBinary reads, version-checks and validates one
 // binary checkpoint.
 func DecodeCheckpointBinary(r io.Reader) (*Checkpoint, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("api: binary decode: %w", err)
-	}
-	br := &binReader{data: data}
-	version := br.header(binKindCheckpoint)
-	if br.err == nil {
-		if err := CheckVersion(version); err != nil {
-			return nil, err
-		}
-	}
-	c := &Checkpoint{
-		SchemaVersion: version, ClusterID: br.str(), Controller: br.str(),
-		Cycle: br.intv(), HasNow: br.boolv(), LastNowSec: br.f64(), Shards: br.intv(),
-	}
-	if n := br.count(1); n > 0 {
-		c.ShardBounds = make([]int, n)
-		for i := range c.ShardBounds {
-			c.ShardBounds[i] = br.intv()
-		}
-	}
-	c.ShardReshards = br.intv()
-	if br.boolv() {
-		snapVersion := int(br.uvarint())
-		if br.err == nil {
-			if err := CheckVersion(snapVersion); err != nil {
-				return nil, err
-			}
-		}
-		c.Snapshot = br.snapshotBody(snapVersion)
-	}
-	if br.boolv() {
-		planVersion := int(br.uvarint())
-		if br.err == nil {
-			if err := CheckVersion(planVersion); err != nil {
-				return nil, err
-			}
-		}
-		c.Plan = br.planBody(planVersion)
-	}
-	if br.boolv() {
-		c.Forecast = br.forecastState()
-	}
-	if err := br.finish(); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return decodeBinary(r, binKindCheckpoint, binCheckpoint, (*Checkpoint).Validate)
 }

@@ -135,26 +135,34 @@ func DecodePlanRequest(r io.Reader) (*PlanRequest, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	if err := CheckVersion(req.SchemaVersion); err != nil {
+	if err := req.checkShape(); err != nil {
 		return nil, err
 	}
+	return &req, nil
+}
+
+// checkShape version-checks a decoded plan request and checks its
+// shape: exactly one of snapshot and delta, a known reply mode, shards
+// in range and a valid forecast hint. Both codecs' decoders apply it.
+func (req *PlanRequest) checkShape() error {
+	if err := CheckVersion(req.SchemaVersion); err != nil {
+		return err
+	}
 	if (req.Snapshot == nil) == (req.Delta == nil) {
-		return nil, fmt.Errorf("api: plan request needs exactly one of snapshot and delta")
+		return fmt.Errorf("api: plan request needs exactly one of snapshot and delta")
 	}
 	switch req.Reply {
 	case "", ReplyFull, ReplyDelta:
 	default:
-		return nil, fmt.Errorf("api: unknown reply mode %q", req.Reply)
+		return fmt.Errorf("api: unknown reply mode %q", req.Reply)
 	}
 	if req.Shards < 0 || req.Shards > MaxShards {
-		return nil, fmt.Errorf("api: shards %d outside [0, %d]", req.Shards, MaxShards)
+		return fmt.Errorf("api: shards %d outside [0, %d]", req.Shards, MaxShards)
 	}
 	if req.Forecast != nil {
-		if err := req.Forecast.Validate(); err != nil {
-			return nil, err
-		}
+		return req.Forecast.Validate()
 	}
-	return &req, nil
+	return nil
 }
 
 // EncodePlanRequest writes one plan request, stamping schema versions

@@ -377,12 +377,12 @@ func FromCorePlan(st *core.State, p *core.Plan) (*Plan, error) {
 	wire.Diagnostics = Diagnostics{
 		EqualizedUtility:       Float(p.EqualizedUtility),
 		HypotheticalJobUtility: Float(p.HypotheticalJobUtility),
-		ClassHypoUtility:       floatMapWire(p.ClassHypoUtility),
+		ClassHypoUtility:       wireFloats(p.ClassHypoUtility),
 		JobDemandMHz:           Float(p.JobDemand),
 		JobTargetMHz:           Float(p.JobTarget),
-		AppPrediction:          appFloatMapWire(p.AppPrediction),
-		AppDemandMHz:           appCPUMapWire(p.AppDemand),
-		AppTargetMHz:           appCPUMapWire(p.AppTarget),
+		AppPrediction:          wireFloats(p.AppPrediction),
+		AppDemandMHz:           wireFloats(p.AppDemand),
+		AppTargetMHz:           wireFloats(p.AppTarget),
 	}
 	return wire, nil
 }
@@ -495,45 +495,17 @@ func (p *Plan) CorePlan() (*core.Plan, error) {
 			cp.Actions[i] = act
 		}
 	}
-	if len(p.Diagnostics.ClassHypoUtility) > 0 {
-		cp.ClassHypoUtility = make(map[string]float64, len(p.Diagnostics.ClassHypoUtility))
-		for k, v := range p.Diagnostics.ClassHypoUtility {
-			cp.ClassHypoUtility[k] = float64(v)
-		}
-	}
-	if len(p.Diagnostics.AppPrediction) > 0 {
-		cp.AppPrediction = make(map[trans.AppID]float64, len(p.Diagnostics.AppPrediction))
-		for k, v := range p.Diagnostics.AppPrediction {
-			cp.AppPrediction[trans.AppID(k)] = float64(v)
-		}
-	}
-	if len(p.Diagnostics.AppDemandMHz) > 0 {
-		cp.AppDemand = make(map[trans.AppID]res.CPU, len(p.Diagnostics.AppDemandMHz))
-		for k, v := range p.Diagnostics.AppDemandMHz {
-			cp.AppDemand[trans.AppID(k)] = res.CPU(float64(v))
-		}
-	}
-	if len(p.Diagnostics.AppTargetMHz) > 0 {
-		cp.AppTarget = make(map[trans.AppID]res.CPU, len(p.Diagnostics.AppTargetMHz))
-		for k, v := range p.Diagnostics.AppTargetMHz {
-			cp.AppTarget[trans.AppID(k)] = res.CPU(float64(v))
-		}
-	}
+	d := &p.Diagnostics
+	cp.ClassHypoUtility = coreFloats[string, float64](d.ClassHypoUtility)
+	cp.AppPrediction = coreFloats[trans.AppID, float64](d.AppPrediction)
+	cp.AppDemand = coreFloats[trans.AppID, res.CPU](d.AppDemandMHz)
+	cp.AppTarget = coreFloats[trans.AppID, res.CPU](d.AppTargetMHz)
 	return cp, nil
 }
 
-func floatMapWire(m map[string]float64) map[string]Float {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]Float, len(m))
-	for k, v := range m {
-		out[k] = Float(v)
-	}
-	return out
-}
-
-func appFloatMapWire(m map[trans.AppID]float64) map[string]Float {
+// wireFloats renders a planner diagnostics map on the wire; an empty
+// map is omitted.
+func wireFloats[K ~string, V ~float64](m map[K]V) map[string]Float {
 	if len(m) == 0 {
 		return nil
 	}
@@ -544,13 +516,14 @@ func appFloatMapWire(m map[trans.AppID]float64) map[string]Float {
 	return out
 }
 
-func appCPUMapWire(m map[trans.AppID]res.CPU) map[string]Float {
+// coreFloats is the inverse of wireFloats, bit for bit.
+func coreFloats[K ~string, V ~float64](m map[string]Float) map[K]V {
 	if len(m) == 0 {
 		return nil
 	}
-	out := make(map[string]Float, len(m))
+	out := make(map[K]V, len(m))
 	for k, v := range m {
-		out[string(k)] = Float(v)
+		out[K(k)] = V(v)
 	}
 	return out
 }
@@ -582,90 +555,68 @@ func (d *SnapshotDelta) ApplyTo(base *core.State) (*core.State, error) {
 		st.Nodes = append([]core.NodeInfo(nil), base.Nodes...)
 	}
 
-	removeJobs := make(map[batch.JobID]bool, len(d.RemoveJobs))
-	for _, id := range d.RemoveJobs {
-		removeJobs[batch.JobID(id)] = true
+	var err error
+	st.Jobs, err = patch("job", base.Jobs, d.UpsertJobs, d.RemoveJobs,
+		func(j *core.JobInfo) string { return string(j.ID) }, func(j *Job) string { return j.ID }, wireJobInfo)
+	if err != nil {
+		return nil, err
 	}
-	upserts := make(map[batch.JobID]int, len(d.UpsertJobs))
-	for i := range d.UpsertJobs {
-		id := batch.JobID(d.UpsertJobs[i].ID)
-		if _, dup := upserts[id]; dup {
-			return nil, fmt.Errorf("api: delta upserts job %q twice", id)
-		}
-		upserts[id] = i
-	}
-	st.Jobs = make([]core.JobInfo, 0, len(base.Jobs)+len(d.UpsertJobs))
-	used := make(map[batch.JobID]bool, len(d.UpsertJobs))
-	for i := range base.Jobs {
-		id := base.Jobs[i].ID
-		if removeJobs[id] {
-			continue
-		}
-		if ui, ok := upserts[id]; ok {
-			info, err := wireJobInfo(&d.UpsertJobs[ui])
-			if err != nil {
-				return nil, err
-			}
-			st.Jobs = append(st.Jobs, info)
-			used[id] = true
-			continue
-		}
-		st.Jobs = append(st.Jobs, base.Jobs[i])
-	}
-	for i := range d.UpsertJobs {
-		id := batch.JobID(d.UpsertJobs[i].ID)
-		if used[id] || removeJobs[id] {
-			continue
-		}
-		info, err := wireJobInfo(&d.UpsertJobs[i])
-		if err != nil {
-			return nil, err
-		}
-		st.Jobs = append(st.Jobs, info)
-	}
-
-	removeApps := make(map[trans.AppID]bool, len(d.RemoveApps))
-	for _, id := range d.RemoveApps {
-		removeApps[trans.AppID(id)] = true
-	}
-	appUpserts := make(map[trans.AppID]int, len(d.UpsertApps))
-	for i := range d.UpsertApps {
-		id := trans.AppID(d.UpsertApps[i].ID)
-		if _, dup := appUpserts[id]; dup {
-			return nil, fmt.Errorf("api: delta upserts app %q twice", id)
-		}
-		appUpserts[id] = i
-	}
-	st.Apps = make([]core.AppInfo, 0, len(base.Apps)+len(d.UpsertApps))
-	usedApps := make(map[trans.AppID]bool, len(d.UpsertApps))
-	for i := range base.Apps {
-		id := base.Apps[i].ID
-		if removeApps[id] {
-			continue
-		}
-		if ui, ok := appUpserts[id]; ok {
-			info, err := wireAppInfo(&d.UpsertApps[ui])
-			if err != nil {
-				return nil, err
-			}
-			st.Apps = append(st.Apps, info)
-			usedApps[id] = true
-			continue
-		}
-		st.Apps = append(st.Apps, base.Apps[i])
-	}
-	for i := range d.UpsertApps {
-		id := trans.AppID(d.UpsertApps[i].ID)
-		if usedApps[id] || removeApps[id] {
-			continue
-		}
-		info, err := wireAppInfo(&d.UpsertApps[i])
-		if err != nil {
-			return nil, err
-		}
-		st.Apps = append(st.Apps, info)
+	st.Apps, err = patch("app", base.Apps, d.UpsertApps, d.RemoveApps,
+		func(a *core.AppInfo) string { return string(a.ID) }, func(a *App) string { return a.ID }, wireAppInfo)
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// patch applies one kind's upserts and removals to the base list, as
+// ApplyTo describes: a removed entry drops out, an upserted one is
+// replaced where it stands, and upserts the base lacks append in delta
+// order. convert validates and converts one upsert.
+func patch[C, W any](kind string, base []C, upserts []W, removes []string,
+	baseID func(*C) string, upsertID func(*W) string, convert func(*W) (C, error)) ([]C, error) {
+	removed := make(map[string]bool, len(removes))
+	for _, id := range removes {
+		removed[id] = true
+	}
+	index := make(map[string]int, len(upserts))
+	for i := range upserts {
+		id := upsertID(&upserts[i])
+		if _, dup := index[id]; dup {
+			return nil, fmt.Errorf("api: delta upserts %s %q twice", kind, id)
+		}
+		index[id] = i
+	}
+	out := make([]C, 0, len(base)+len(upserts))
+	placed := make([]bool, len(upserts))
+	for i := range base {
+		id := baseID(&base[i])
+		if removed[id] {
+			continue
+		}
+		ui, ok := index[id]
+		if !ok {
+			out = append(out, base[i])
+			continue
+		}
+		info, err := convert(&upserts[ui])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, info)
+		placed[ui] = true
+	}
+	for i := range upserts {
+		if placed[i] || removed[upsertID(&upserts[i])] {
+			continue
+		}
+		info, err := convert(&upserts[i])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, info)
+	}
+	return out, nil
 }
 
 // wireJobInfo validates and converts one upserted job.

@@ -2,6 +2,9 @@ package api
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -114,6 +117,99 @@ func FuzzDecodeBinarySnapshot(f *testing.F) {
 			t.Fatalf("validated snapshot failed to convert: %v", err)
 		}
 	})
+}
+
+// binaryRoundTrips re-encodes what the plan, plan-request,
+// plan-response and checkpoint decoders accept, by document kind.
+var binaryRoundTrips = map[byte]func([]byte) (again []byte, accepted bool, err error){
+	binKindPlan:         roundTrip(DecodePlanBinary, EncodePlanBinary),
+	binKindPlanRequest:  roundTrip(DecodePlanRequestBinary, EncodePlanRequestBinary),
+	binKindPlanResponse: roundTrip(DecodePlanResponseBinary, EncodePlanResponseBinary),
+	binKindCheckpoint:   roundTrip(DecodeCheckpointBinary, EncodeCheckpointBinary),
+}
+
+func roundTrip[T any](decode func(io.Reader) (*T, error), encode func(io.Writer, *T) error) func([]byte) ([]byte, bool, error) {
+	return func(data []byte) ([]byte, bool, error) {
+		doc, err := decode(bytes.NewReader(data))
+		if err != nil {
+			return nil, false, nil
+		}
+		var again bytes.Buffer
+		err = encode(&again, doc)
+		return again.Bytes(), true, err
+	}
+}
+
+// FuzzDecodeBinary hammers the binary decoders of every document but
+// the snapshot (FuzzDecodeBinarySnapshot's) with arbitrary bytes,
+// starting from the golden documents: the input's kind byte picks the
+// decoder, and anything it accepts must re-encode to the identical
+// bytes. This is where the plan, delta, forecast and checkpoint layouts
+// meet hostile framing.
+func FuzzDecodeBinary(f *testing.F) {
+	golden, err := filepath.Glob(filepath.Join("testdata", "golden", "*.bin"))
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("no golden binary documents: %v", err)
+	}
+	for _, path := range golden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < len(binaryMagic)+2 || binaryRoundTrips[data[5]] == nil {
+			return
+		}
+		again, accepted, err := binaryRoundTrips[data[5]](data)
+		if !accepted {
+			return // invalid input is allowed to fail, not to panic
+		}
+		if err != nil {
+			t.Fatalf("accepted document failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("binary form not canonical:\n%x\n%x", data, again)
+		}
+	})
+}
+
+// TestBinaryFuzzSeedsPassHeader: the committed binary fuzz seeds start
+// the fuzzers inside the layouts, not at the header. Every one passes
+// the magic, format-version, kind and schema-version checks, unless its
+// name says bad-.
+func TestBinaryFuzzSeedsPassHeader(t *testing.T) {
+	kinds := map[string][]byte{
+		"FuzzDecodeBinarySnapshot": {binKindSnapshot},
+		"FuzzDecodeBinary":         {binKindPlan, binKindPlanRequest, binKindPlanResponse, binKindCheckpoint},
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecodeBinary*", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no binary fuzz corpus: %v", err)
+	}
+	checked := 0
+	for _, f := range files {
+		if strings.HasPrefix(filepath.Base(f), "bad-") {
+			continue
+		}
+		data := []byte(corpusDoc(t, f))
+		passed := false
+		for _, kind := range kinds[filepath.Base(filepath.Dir(f))] {
+			c := &binCodec{r: &binReader{data: data}}
+			var version int
+			c.header(kind)
+			c.version(&version)
+			passed = passed || c.r.err == nil
+		}
+		if !passed {
+			t.Errorf("%s: rejected at the header; regenerate it or name it bad-*", f)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("every binary seed is named bad-*")
+	}
 }
 
 // FuzzDecodeCheckpoint checks the JSON checkpoint codec the same way

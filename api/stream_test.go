@@ -56,11 +56,11 @@ func largeState(t *testing.T, nodes, jobs int) *core.State {
 }
 
 // binDoc is one document kind: how the public encoder writes it and how
-// a writer of the test's choosing does.
+// a writer of the test's choosing does (fill finishes the writer).
 type binDoc struct {
 	name   string
 	encode func(io.Writer) error
-	fill   func(*binWriter)
+	fill   func(*binWriter) error
 }
 
 // largeDocs returns one multi-chunk document per Encode*Binary.
@@ -94,13 +94,18 @@ func docsOf(t *testing.T, st *core.State) []binDoc {
 		Snapshot: snap, Plan: plan, Forecast: sampleForecastState(t),
 	}
 	return []binDoc{
-		{"snapshot", func(w io.Writer) error { return EncodeSnapshotBinary(w, snap) }, func(w *binWriter) { w.snapshotDoc(snap) }},
-		{"plan", func(w io.Writer) error { return EncodePlanBinary(w, plan) }, func(w *binWriter) { w.planDoc(plan) }},
-		{"planRequest", func(w io.Writer) error { return EncodePlanRequestBinary(w, req) }, func(w *binWriter) { w.planRequestDoc(req) }},
-		{"planRequestDelta", func(w io.Writer) error { return EncodePlanRequestBinary(w, deltaReq) }, func(w *binWriter) { w.planRequestDoc(deltaReq) }},
-		{"planResponse", func(w io.Writer) error { return EncodePlanResponseBinary(w, resp) }, func(w *binWriter) { w.planResponseDoc(resp) }},
-		{"checkpoint", func(w io.Writer) error { return EncodeCheckpointBinary(w, ck) }, func(w *binWriter) { w.checkpointDoc(ck) }},
+		{"snapshot", func(w io.Writer) error { return EncodeSnapshotBinary(w, snap) }, fillWith(binKindSnapshot, snap, binSnapshot)},
+		{"plan", func(w io.Writer) error { return EncodePlanBinary(w, plan) }, fillWith(binKindPlan, plan, binPlan)},
+		{"planRequest", func(w io.Writer) error { return EncodePlanRequestBinary(w, req) }, fillWith(binKindPlanRequest, req, binPlanRequest)},
+		{"planRequestDelta", func(w io.Writer) error { return EncodePlanRequestBinary(w, deltaReq) }, fillWith(binKindPlanRequest, deltaReq, binPlanRequest)},
+		{"planResponse", func(w io.Writer) error { return EncodePlanResponseBinary(w, resp) }, fillWith(binKindPlanResponse, resp, binPlanResponse)},
+		{"checkpoint", func(w io.Writer) error { return EncodeCheckpointBinary(w, ck) }, fillWith(binKindCheckpoint, ck, binCheckpoint)},
 	}
+}
+
+// fillWith encodes doc through a writer of the caller's choosing.
+func fillWith[T any](kind byte, doc *T, walk func(*binCodec, *T)) func(*binWriter) error {
+	return func(w *binWriter) error { return encodeBinary(w, kind, doc, walk) }
 }
 
 // chunkSink keeps what it is given and how it arrived. With failAt > 0
@@ -135,9 +140,7 @@ func TestBinaryStreamingIdentity(t *testing.T) {
 	for _, doc := range largeDocs(t) {
 		t.Run(doc.name, func(t *testing.T) {
 			var whole chunkSink
-			w := &binWriter{sink: &whole, spill: math.MaxInt}
-			doc.fill(w)
-			if err := w.finish(); err != nil {
+			if err := doc.fill(&binWriter{sink: &whole, spill: math.MaxInt}); err != nil {
 				t.Fatal(err)
 			}
 			want := whole.data.Bytes()
@@ -147,9 +150,7 @@ func TestBinaryStreamingIdentity(t *testing.T) {
 
 			for _, spill := range []int{1, 4 << 10} {
 				var sink chunkSink
-				w := &binWriter{sink: &sink, spill: spill}
-				doc.fill(w)
-				if err := w.finish(); err != nil {
+				if err := doc.fill(&binWriter{sink: &sink, spill: spill}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(sink.data.Bytes(), want) {
@@ -178,7 +179,7 @@ func TestBinaryStreamingIdentity(t *testing.T) {
 }
 
 // corpusDoc parses one committed fuzz corpus file holding a single
-// string value.
+// string or []byte value.
 func corpusDoc(t *testing.T, path string) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -186,10 +187,17 @@ func corpusDoc(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "string(") {
-		t.Fatalf("%s: not a one-string corpus file", path)
+	value, ok := "", len(lines) == 2 && lines[0] == "go test fuzz v1"
+	if ok {
+		value, ok = strings.CutPrefix(lines[1], "string(")
+		if !ok {
+			value, ok = strings.CutPrefix(lines[1], "[]byte(")
+		}
 	}
-	doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+	if !ok {
+		t.Fatalf("%s: not a one-value corpus file", path)
+	}
+	doc, err := strconv.Unquote(strings.TrimSuffix(value, ")"))
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -198,14 +206,12 @@ func corpusDoc(t *testing.T, path string) string {
 
 // everyChunking encodes one document spilling after every row, every
 // 4 KB, at the production threshold and not at all.
-func everyChunking(t *testing.T, fill func(*binWriter)) [][]byte {
+func everyChunking(t *testing.T, fill func(*binWriter) error) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, spill := range []int{1, 4 << 10, binSpillBytes, math.MaxInt} {
 		var buf bytes.Buffer
-		w := &binWriter{sink: &buf, spill: spill}
-		fill(w)
-		if err := w.finish(); err != nil {
+		if err := fill(&binWriter{sink: &buf, spill: spill}); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, buf.Bytes())
@@ -248,7 +254,7 @@ func TestBinaryGolden(t *testing.T) {
 // corpora that decodes has one binary form, whatever the chunking.
 func TestBinaryStreamingCorpora(t *testing.T) {
 	checked := 0
-	each := func(target string, fill func(doc string) func(*binWriter)) {
+	each := func(target string, fill func(doc string) func(*binWriter) error) {
 		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no corpus for %s: %v", target, err)
@@ -268,26 +274,26 @@ func TestBinaryStreamingCorpora(t *testing.T) {
 			}
 		}
 	}
-	each("FuzzDecodeSnapshot", func(doc string) func(*binWriter) {
+	each("FuzzDecodeSnapshot", func(doc string) func(*binWriter) error {
 		snap, err := DecodeSnapshot(strings.NewReader(doc))
 		if err != nil {
 			return nil
 		}
-		return func(w *binWriter) { w.snapshotDoc(snap) }
+		return fillWith(binKindSnapshot, snap, binSnapshot)
 	})
-	each("FuzzDecodeCheckpoint", func(doc string) func(*binWriter) {
+	each("FuzzDecodeCheckpoint", func(doc string) func(*binWriter) error {
 		ck, err := DecodeCheckpoint(strings.NewReader(doc))
 		if err != nil {
 			return nil
 		}
-		return func(w *binWriter) { w.checkpointDoc(ck) }
+		return fillWith(binKindCheckpoint, ck, binCheckpoint)
 	})
-	each("FuzzDecodePlanRequest", func(doc string) func(*binWriter) {
+	each("FuzzDecodePlanRequest", func(doc string) func(*binWriter) error {
 		req, err := DecodePlanRequest(strings.NewReader(doc))
 		if err != nil {
 			return nil
 		}
-		return func(w *binWriter) { w.planRequestDoc(req) }
+		return fillWith(binKindPlanRequest, req, binPlanRequest)
 	})
 	if checked < 10 {
 		t.Fatalf("only %d corpus documents decoded; the corpora moved?", checked)

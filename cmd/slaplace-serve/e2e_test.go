@@ -48,7 +48,8 @@ type daemon struct {
 
 // startDaemon launches the built binary on an ephemeral port and
 // parses the bound address from its log output. Extra flags are
-// appended verbatim.
+// appended verbatim. The daemon is killed and reaped when the test
+// ends, however it ends.
 func startDaemon(t *testing.T, bin, stateDir string, extra ...string) *daemon {
 	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-state-dir", stateDir}, extra...)
@@ -60,6 +61,8 @@ func startDaemon(t *testing.T, bin, stateDir string, extra ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	d := &daemon{cmd: cmd}
+	t.Cleanup(d.kill9)
 	addrRe := regexp.MustCompile(`listening on (\S+) `)
 	addrCh := make(chan string, 1)
 	go func() {
@@ -72,21 +75,22 @@ func startDaemon(t *testing.T, bin, stateDir string, extra ...string) *daemon {
 	}()
 	select {
 	case addr := <-addrCh:
-		return &daemon{cmd: cmd, url: "http://" + addr}
+		d.url = "http://" + addr
+		return d
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
 		t.Fatal("daemon did not announce its listen address")
 		return nil
 	}
 }
 
 // kill9 terminates the daemon the hard way: SIGKILL, no drain, no
-// goodbye. Only the state dir survives.
-func (d *daemon) kill9(t *testing.T) {
-	t.Helper()
-	if err := d.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
+// goodbye. Only the state dir survives. Once the daemon is reaped it
+// does nothing, so the cleanup may follow an explicit kill9.
+func (d *daemon) kill9() {
+	if d.cmd.ProcessState != nil {
+		return // already reaped
 	}
+	d.cmd.Process.Kill()
 	d.cmd.Wait() // reap; exit error is the point
 }
 
@@ -176,10 +180,9 @@ func TestCrashRestartEndToEnd(t *testing.T) {
 	for i := 0; i < half; i++ {
 		io.WriteString(digester, d.plan(t, snaps[i], i+1))
 	}
-	d.kill9(t)
+	d.kill9()
 
 	d = startDaemon(t, bin, stateDir)
-	defer d.kill9(t)
 	for i := half; i < len(snaps); i++ {
 		io.WriteString(digester, d.plan(t, snaps[i], i+1))
 	}
@@ -272,11 +275,10 @@ func TestCrashRestartForecastEndToEnd(t *testing.T) {
 			t.Fatalf("cycle %d: predictive plan digest %s, want %s", i+1, got, want[i])
 		}
 	}
-	d.kill9(t)
+	d.kill9()
 
 	// No -forecast flag here: the restored checkpoint must carry it.
 	d = startDaemon(t, bin, stateDir)
-	defer d.kill9(t)
 	for i := half; i < len(snaps); i++ {
 		if got := d.plan(t, snaps[i], i+1); got != want[i] {
 			t.Fatalf("cycle %d (post-restart): predictive plan digest %s, want %s", i+1, got, want[i])

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,7 +88,7 @@ func TestGreedyPackerOptimalForIdenticalJobs(t *testing.T) {
 		plan := c.Plan(st)
 		return planPlacedCount(st, plan) == exhaustiveMaxPlaced(jobMems, freeMems)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -95,44 +97,51 @@ func TestGreedyPackerOptimalForIdenticalJobs(t *testing.T) {
 // placer is urgency-first first-fit — it may not reorder jobs by size,
 // because placement priority IS the policy (most starved first, §2 of
 // the paper). That heuristic cannot be cardinality-optimal for
-// adversarial size mixes; this test pins its suboptimality to at most
-// two jobs of the brute-force optimum on every 6-job instance family
-// we can exhaustively check (and the identical-size case, the paper's
-// evaluation, is exactly optimal — see the previous test).
+// adversarial size mixes. This test enumerates every 6-job instance
+// over four sizes on one to three nodes (3 × 4⁶ = 12 288 cases) and
+// pins the worst gap to the brute-force optimum, and the inputs that
+// reach it: three jobs, when an 11 GB job is placed first and five
+// 3 GB jobs would have fit in its place on a single node. (The
+// identical-size case, the paper's evaluation, is exactly optimal —
+// see the previous test.)
 func TestGreedyPackerNearOptimalHeterogeneous(t *testing.T) {
-	c := New(DefaultConfig())
 	sizes := []res.Memory{3000, 5000, 8000, 11000}
-	worstGap := 0
-	f := func(nNodes uint8, sizeSeed uint32) bool {
-		nn := int(nNodes%3) + 1
-		nj := 6
-		st := &State{Now: 0, Nodes: nodes(nn)}
-		jobMems := make([]res.Memory, nj)
+	const nj = 6
+	type instance struct {
+		nodes int
+		mems  [nj]res.Memory
+	}
+	worstGap, worst := 0, []instance(nil)
+	for nn := 1; nn <= 3; nn++ {
 		freeMems := make([]res.Memory, nn)
 		for i := range freeMems {
 			freeMems[i] = 16000
 		}
-		s := sizeSeed
-		for i := 0; i < nj; i++ {
-			mem := sizes[int(s)%len(sizes)]
-			s = s/4 + 7
-			j := job(fmt.Sprintf("j%d", i), batch.Pending, "", 0, res.Work(4500*1000), 3000)
-			j.Mem = mem
-			st.Jobs = append(st.Jobs, j)
-			jobMems[i] = mem
+		for tuple := 0; tuple < 1<<(2*nj); tuple++ {
+			st := &State{Now: 0, Nodes: nodes(nn)}
+			in := instance{nodes: nn}
+			for i := range in.mems {
+				in.mems[i] = sizes[tuple>>(2*i)&3]
+				j := job(fmt.Sprintf("j%d", i), batch.Pending, "", 0, res.Work(4500*1000), 3000)
+				j.Mem = in.mems[i]
+				st.Jobs = append(st.Jobs, j)
+			}
+			gap := exhaustiveMaxPlaced(in.mems[:], freeMems) - planPlacedCount(st, New(DefaultConfig()).Plan(st))
+			if gap > worstGap {
+				worstGap, worst = gap, nil
+			}
+			if gap == worstGap {
+				worst = append(worst, in)
+			}
 		}
-		plan := c.Plan(st)
-		got := planPlacedCount(st, plan)
-		opt := exhaustiveMaxPlaced(jobMems, freeMems)
-		if opt-got > worstGap {
-			worstGap = opt - got
-		}
-		return opt-got <= 2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Errorf("greedy more than two jobs below optimum: %v", err)
+	want := []instance{
+		{1, [nj]res.Memory{11000, 3000, 3000, 3000, 3000, 3000}},
+		{1, [nj]res.Memory{3000, 11000, 3000, 3000, 3000, 3000}},
 	}
-	t.Logf("worst greedy-vs-optimal gap observed: %d", worstGap)
+	if worstGap != 3 || !slices.Equal(worst, want) {
+		t.Errorf("worst greedy-vs-optimal gap %d at %v, want 3 at %v", worstGap, worst, want)
+	}
 }
 
 // TestNoWaitingJobCouldBePlaced: maximality invariant — after planning,
@@ -179,7 +188,7 @@ func TestNoWaitingJobCouldBePlaced(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }

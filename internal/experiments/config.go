@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 
+	"slaplace/api"
 	"slaplace/internal/baseline"
 	"slaplace/internal/chaos"
 	"slaplace/internal/cluster"
 	"slaplace/internal/control"
 	"slaplace/internal/core"
-	"slaplace/internal/forecast"
 	"slaplace/internal/queueing"
 	"slaplace/internal/res"
 	"slaplace/internal/shard"
@@ -83,41 +83,10 @@ type ControllerJSON struct {
 	ChurnOblivious        bool    `json:"churnOblivious"`
 	// Forecast enables predictive planning for any controller kind:
 	// the control session forecasts each application's next-cycle
-	// demand and plans against the prediction.
-	Forecast *ForecastJSON `json:"forecast"`
-}
-
-// ForecastJSON mirrors forecast.Config. CorrectionAlpha keeps the wire
-// tristate: omitted means the default weight, an explicit 0 disables
-// correction feedback.
-type ForecastJSON struct {
-	// Predictor is "constant", "holt" or "ar" ("" = holt).
-	Predictor       string   `json:"predictor"`
-	Window          int      `json:"window"`
-	HoltAlpha       float64  `json:"holtAlpha"`
-	HoltBeta        float64  `json:"holtBeta"`
-	AROrder         int      `json:"arOrder"`
-	CorrectionAlpha *float64 `json:"correctionAlpha"`
-}
-
-// Build converts and validates the forecast block.
-func (fj ForecastJSON) Build() (forecast.Config, error) {
-	cfg := forecast.Config{
-		Predictor: fj.Predictor,
-		Window:    fj.Window,
-		HoltAlpha: fj.HoltAlpha,
-		HoltBeta:  fj.HoltBeta,
-		AROrder:   fj.AROrder,
-	}
-	if fj.CorrectionAlpha != nil {
-		cfg.CorrectionAlpha = *fj.CorrectionAlpha
-	} else {
-		cfg.CorrectionAlpha = forecast.DefaultConfig().CorrectionAlpha
-	}
-	if err := cfg.Validate(); err != nil {
-		return forecast.Config{}, fmt.Errorf("experiments: forecast: %w", err)
-	}
-	return cfg, nil
+	// demand and plans against the prediction. It is the plan-request
+	// hint's block: an omitted correctionAlpha means the default
+	// weight, an explicit 0 disables correction feedback.
+	Forecast *api.ForecastConfig `json:"forecast"`
 }
 
 // JobStreamJSON mirrors JobStream.
@@ -306,9 +275,9 @@ func (sj ScenarioJSON) Build() (Scenario, error) {
 	}
 	sc.Controller = ctrl
 	if sj.Controller.Forecast != nil {
-		fc, err := sj.Controller.Forecast.Build()
-		if err != nil {
-			return Scenario{}, err
+		fc := sj.Controller.Forecast.Config()
+		if err := fc.Validate(); err != nil {
+			return Scenario{}, fmt.Errorf("experiments: forecast: %w", err)
 		}
 		sc.Forecast = &fc
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"slaplace/api"
 	"slaplace/internal/res"
 	"slaplace/internal/trace"
 )
@@ -245,7 +246,7 @@ func TestControllerJSONRejectsMisappliedKeys(t *testing.T) {
 	}
 	// The forecast key applies to every kind (it configures the control
 	// session, not the controller).
-	ok := ControllerJSON{Kind: "fcfs", Forecast: &ForecastJSON{Predictor: "constant"}}
+	ok := ControllerJSON{Kind: "fcfs", Forecast: &api.ForecastConfig{Predictor: "constant"}}
 	if _, err := ok.Build(); err != nil {
 		t.Errorf("forecast on a baseline kind rejected: %v", err)
 	}
