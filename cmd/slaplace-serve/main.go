@@ -34,10 +34,10 @@
 // With -forecast the daemon plans predictively: each session forecasts
 // next-cycle demand per application (constant, holt, or ar predictor
 // with Dynamo-style correction feedback) and places against the
-// prediction instead of the last observation. Clients can also enable
-// it per session via the "forecast" field of the first plan request;
-// the forecaster's state rides the checkpoint, so prediction survives
-// restarts and failover.
+// prediction instead of the last observation. "-forecast X" is the
+// plan request's {"predictor": "X"} forecast hint applied to every new
+// session; a request's own hint wins. The forecaster's state rides the
+// checkpoint, so prediction survives restarts and failover.
 //
 // Clients may negotiate the compact binary codec per request with
 // "Content-Type: application/x-slaplace-binary" (request body) and
@@ -60,31 +60,24 @@ import (
 	"time"
 
 	"slaplace/api"
-	"slaplace/internal/baseline"
-	"slaplace/internal/core"
-	"slaplace/internal/forecast"
+	"slaplace/internal/experiments"
 	"slaplace/internal/serve"
 )
 
-// newController maps the -controller flag to a constructor. "utility"
-// is the paper's placement controller and honors the tuning flags; the
-// rest are the fixed baseline policies from the golden fixture. Every
-// replica of a fleet must run the same controller — a checkpoint
+// sessionSpec maps the -controller and -forecast flags onto the
+// controller spec the scenario format uses: "static60" is the static
+// baseline at batch fraction 0.6, every other name is a spec kind.
+// Every replica of a fleet must run the same controller — a checkpoint
 // refuses to restore under a different one.
-func newController(name string, cfg core.Config) (func() core.Controller, error) {
-	switch name {
-	case "utility":
-		return func() core.Controller { return core.New(cfg) }, nil
-	case "fcfs":
-		return func() core.Controller { return baseline.FCFS{} }, nil
-	case "edf":
-		return func() core.Controller { return baseline.EDF{} }, nil
-	case "fairshare":
-		return func() core.Controller { return baseline.FairShare{} }, nil
-	case "static60":
-		return func() core.Controller { return baseline.Static{BatchFraction: 0.6} }, nil
+func sessionSpec(controller, predictor string) experiments.ControllerJSON {
+	spec := experiments.ControllerJSON{Kind: controller}
+	if controller == "static60" {
+		spec = experiments.ControllerJSON{Kind: "static", BatchFraction: 0.6}
 	}
-	return nil, errors.New("unknown controller " + name + " (want utility, fcfs, edf, fairshare, or static60)")
+	if predictor != "" {
+		spec.Forecast = &api.ForecastConfig{Predictor: predictor}
+	}
+	return spec
 }
 
 func main() {
@@ -102,40 +95,17 @@ func main() {
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "HTTP server read timeout (slow-loris guard)")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "HTTP server write timeout (must cover the slowest plan cycle)")
 
-		fcPredictor  = flag.String("forecast", "", "enable demand forecasting for new sessions: constant, holt, or ar (empty = reactive; per-request hints still honored)")
-		fcWindow     = flag.Int("forecast-window", 0, "forecast observation window in cycles (0 = default)")
-		fcCorrection = flag.Float64("forecast-correction", forecast.DefaultConfig().CorrectionAlpha, "correction-feedback EWMA weight in [0,1] (0 disables correction)")
-
-		controller  = flag.String("controller", "utility", "controller: utility (the paper's), fcfs, edf, fairshare, static60")
-		incremental = flag.Bool("incremental", true, "reuse plans across cycles when provably unchanged")
-		churnAware  = flag.Bool("churn-aware", true, "keep running jobs in place when possible")
-		evictMargin = flag.Float64("eviction-margin", 0, "suspension hysteresis in seconds of laxity")
-		maxMigr     = flag.Int("max-migrations", core.DefaultConfig().MaxMigrationsPerCycle, "migration cap per control cycle")
+		predictor  = flag.String("forecast", "", "enable demand forecasting for new sessions: constant, holt, or ar (empty = reactive; per-request hints still honored)")
+		controller = flag.String("controller", "utility", "controller: utility (the paper's), fcfs, edf, fairshare, static60")
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	cfg.Incremental = *incremental
-	cfg.ChurnAware = *churnAware
-	cfg.EvictionMargin = *evictMargin
-	cfg.MaxMigrationsPerCycle = *maxMigr
-	if err := cfg.Validate(); err != nil {
-		log.Fatalf("slaplace-serve: %v", err)
-	}
-	newCtrl, err := newController(*controller, cfg)
-	if err != nil {
-		log.Fatalf("slaplace-serve: %v", err)
-	}
-	var fcCfg *forecast.Config
-	if *fcPredictor != "" {
-		fcCfg = &forecast.Config{
-			Predictor:       *fcPredictor,
-			Window:          *fcWindow,
-			CorrectionAlpha: *fcCorrection,
-		}
-		if err := fcCfg.Validate(); err != nil {
-			log.Fatalf("slaplace-serve: %v", err)
-		}
+	spec := sessionSpec(*controller, *predictor)
+	newCtrl, err := spec.Factory()
+	fcCfg, fcErr := spec.ForecastConfig()
+	if err = errors.Join(err, fcErr); err != nil {
+		log.Printf("slaplace-serve: %v", err)
+		os.Exit(2) // a bad flag value, like the flag package's own errors
 	}
 	if *stateDir != "" {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {

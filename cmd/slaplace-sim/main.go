@@ -14,7 +14,8 @@
 //	-controller name utility | fcfs | edf | fairshare | static
 //	                 (default "utility"; overrides the scenario's choice)
 //	-forecast name   plan against predicted demand: constant | holt | ar
-//	                 (default off: react to the last observation)
+//	                 (default off: react to the last observation; the
+//	                 same as a config file's {"predictor": name} block)
 //	-chaos family    perturb the snapshot stream with a fault family:
 //	                 crash | lag | flap | wave | stale | all
 //	                 (default off; seeded from -seed)
@@ -39,6 +40,7 @@ import (
 
 	"slaplace"
 
+	"slaplace/api"
 	"slaplace/internal/experiments"
 	"slaplace/internal/trace"
 )
@@ -63,6 +65,12 @@ func main() {
 	)
 	flag.Parse()
 
+	spec := sessionSpec(*ctrlName, *shards, *staticFrac, *forecastName, *scenarioName)
+	fcCfg, err := spec.ForecastConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
+		os.Exit(2)
+	}
 	sc, err := buildScenario(*scenarioName, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
@@ -97,12 +105,6 @@ func main() {
 		sc.JobTrace = recs
 		sc.TraceBase = experiments.PaperJobClass()
 	}
-	if ctrl, err := buildController(*ctrlName, *staticFrac); err != nil {
-		fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
-		os.Exit(2)
-	} else if ctrl != nil {
-		sc.Controller = ctrl
-	}
 	if *shards < 1 {
 		fmt.Fprintln(os.Stderr, "slaplace-sim: -shards must be >= 1")
 		os.Exit(2)
@@ -113,31 +115,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, `slaplace-sim: -shards does not apply to -config scenarios; set "controller": {"shards": K} in the config file`)
 		os.Exit(2)
 	}
-	if *shards > 1 {
-		// Each shard needs its own controller instance; rebuild by name
-		// ("utility" selects the scenario's utility configuration).
-		sc.Controller = slaplace.Sharded(*shards, shardFactory(*scenarioName, *ctrlName, *staticFrac))
-	}
-	if *horizon > 0 {
-		sc.Horizon = *horizon
-	}
-	fcCfg, err := buildForecast(*forecastName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
-		os.Exit(2)
-	}
-	if fcCfg != nil {
-		sc.Forecast = fcCfg
-	}
-	if *chaosFamily != "" {
-		ccfg, err := slaplace.ChaosFamilyConfig(*chaosFamily, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
-			os.Exit(2)
-		}
-		sc.Chaos = ccfg
-	}
-
 	if *replicas < 1 {
 		fmt.Fprintln(os.Stderr, "slaplace-sim: -replicas must be >= 1")
 		os.Exit(2)
@@ -158,30 +135,34 @@ func main() {
 			fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
 			os.Exit(2)
 		}
-		// Each replica gets its own controller instance: replicas run
-		// concurrently, and sharing one would break RunMany's premise
-		// that workers share no state.
-		if ctrl, err := buildController(*ctrlName, *staticFrac); err == nil && ctrl != nil {
-			replica.Controller = ctrl
-		}
-		if *shards > 1 {
-			replica.Controller = slaplace.Sharded(*shards, shardFactory(*scenarioName, *ctrlName, *staticFrac))
+		scs = append(scs, replica)
+	}
+	// Plain "utility" keeps the scenario's own controller. Otherwise
+	// each replica gets its own controller instance: replicas run
+	// concurrently, and sharing one would break RunMany's premise that
+	// workers share no state.
+	keep := spec.Shards <= 1 && (spec.Kind == "" || spec.Kind == "utility")
+	for i := range scs {
+		if !keep {
+			if scs[i].Controller, err = spec.Build(); err != nil {
+				fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
+				os.Exit(2)
+			}
 		}
 		if *horizon > 0 {
-			replica.Horizon = *horizon
+			scs[i].Horizon = *horizon
 		}
 		if fcCfg != nil {
 			fc := *fcCfg
-			replica.Forecast = &fc
+			scs[i].Forecast = &fc
 		}
 		if *chaosFamily != "" {
 			// Each replica's faults are seeded by its own run seed.
-			ccfg, err := slaplace.ChaosFamilyConfig(*chaosFamily, *seed+uint64(i))
-			if err == nil {
-				replica.Chaos = ccfg
+			if scs[i].Chaos, err = slaplace.ChaosFamilyConfig(*chaosFamily, *seed+uint64(i)); err != nil {
+				fmt.Fprintln(os.Stderr, "slaplace-sim:", err)
+				os.Exit(2)
 			}
 		}
-		scs = append(scs, replica)
 	}
 	results, err := slaplace.RunMany(scs, *parallel)
 	if err != nil {
@@ -274,58 +255,21 @@ func buildScenario(name string, seed uint64) (slaplace.Scenario, error) {
 	}
 }
 
-// shardFactory builds fresh per-shard controllers by name — sharded
-// planning cannot reuse a scenario's single controller instance.
-// "utility" rebuilds the scenario's own utility configuration (the
-// churn-oblivious scenario is the one canned scenario that tunes it),
-// so sharding never silently changes the policy under test.
-func shardFactory(scenario, name string, staticFrac float64) func() slaplace.Controller {
-	return func() slaplace.Controller {
-		ctrl, err := buildController(name, staticFrac)
-		if err != nil {
-			panic(err) // unreachable: validated before the first build
-		}
-		if ctrl == nil {
-			cfg := slaplace.DefaultControllerConfig()
-			if scenario == "churn-oblivious" {
-				cfg.ChurnAware = false
-			}
-			ctrl = slaplace.NewController(cfg)
-		}
-		return ctrl
-	}
-}
-
-// buildForecast maps the -forecast flag to a predictor configuration;
-// empty means reactive planning (nil). The scenario config file's
-// controller.forecast block carries the finer knobs.
-func buildForecast(name string) (*slaplace.ForecastConfig, error) {
-	if name == "" {
-		return nil, nil
-	}
-	cfg := slaplace.DefaultForecastConfig()
-	cfg.Predictor = name
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &cfg, nil
-}
-
-// buildController maps a name to a controller; "utility" returns nil to
-// keep the scenario's own (already utility-driven) controller.
-func buildController(name string, staticFrac float64) (slaplace.Controller, error) {
-	switch name {
-	case "utility", "":
-		return nil, nil
-	case "fcfs":
-		return slaplace.FCFS, nil
-	case "edf":
-		return slaplace.EDF, nil
-	case "fairshare":
-		return slaplace.FairShare, nil
+// sessionSpec maps the controller flags onto the controller spec the
+// scenario format uses. A sharded "utility" rebuilds the scenario's own
+// utility configuration per shard: the churn-oblivious scenario is the
+// one canned scenario that tunes it, so sharding never silently
+// changes the policy under test.
+func sessionSpec(controller string, shards int, staticFrac float64, predictor, scenario string) experiments.ControllerJSON {
+	spec := experiments.ControllerJSON{Kind: controller, Shards: shards}
+	switch controller {
 	case "static":
-		return slaplace.StaticPartition(staticFrac), nil
-	default:
-		return nil, fmt.Errorf("unknown controller %q", name)
+		spec.BatchFraction = staticFrac
+	case "", "utility":
+		spec.ChurnOblivious = scenario == "churn-oblivious"
 	}
+	if predictor != "" {
+		spec.Forecast = &api.ForecastConfig{Predictor: predictor}
+	}
+	return spec
 }

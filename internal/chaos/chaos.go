@@ -37,15 +37,15 @@ import (
 // jobs stranded on it as Running — for that many further cycles.
 type Crash struct {
 	// Every is the crash period in cycles (≥ 1).
-	Every int
+	Every int `json:"every"`
 	// Start is the first crash cycle (1-based, ≥ 1).
-	Start int
+	Start int `json:"start"`
 	// DetectionLag is how many cycles after the crash the dead node is
 	// still reported alive (0 = detected on the next cycle).
-	DetectionLag int
+	DetectionLag int `json:"detectionLag"`
 	// RestoreAfter brings the node back this many cycles after its
 	// crash (0 = never; otherwise must exceed DetectionLag).
-	RestoreAfter int
+	RestoreAfter int `json:"restoreAfter"`
 }
 
 // Flap configures a fixed set of nodes that alternate between visible
@@ -54,12 +54,12 @@ type Crash struct {
 // keep being reported Running on nodes the snapshot no longer lists.
 type Flap struct {
 	// Nodes is how many nodes flap (chosen once, seeded, ≥ 1).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Period is the half-period in cycles: down for Period cycles,
 	// up for Period, and so on (≥ 1).
-	Period int
+	Period int `json:"period"`
 	// Start is the first down cycle (1-based, ≥ 1).
-	Start int
+	Start int `json:"start"`
 }
 
 // Wave configures a mass departure of Count nodes at cycle DepartAt,
@@ -69,12 +69,12 @@ type Flap struct {
 // out between monitor sweeps.
 type Wave struct {
 	// DepartAt is the departure cycle (1-based, ≥ 1).
-	DepartAt int
+	DepartAt int `json:"departAt"`
 	// Count is how many nodes depart (seeded choice, ≥ 1).
-	Count int
+	Count int `json:"count"`
 	// ReturnAt brings every departed node back (0 = never; otherwise
 	// must exceed DepartAt).
-	ReturnAt int
+	ReturnAt int `json:"returnAt"`
 }
 
 // Stale configures snapshot replay faults: every DuplicateEvery-th
@@ -86,22 +86,22 @@ type Wave struct {
 type Stale struct {
 	// DuplicateEvery re-delivers the previous snapshot (re-stamped to
 	// the current time) every this many cycles (0 = off, else ≥ 2).
-	DuplicateEvery int
+	DuplicateEvery int `json:"duplicateEvery"`
 	// RegressEvery re-delivers the previous snapshot verbatim every
 	// this many cycles (0 = off, else ≥ 2).
-	RegressEvery int
+	RegressEvery int `json:"regressEvery"`
 }
 
 // Config selects and tunes the fault families. At least one family
 // must be set.
 type Config struct {
 	// Seed drives every random choice the engine makes.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 
-	Crash *Crash
-	Flap  *Flap
-	Wave  *Wave
-	Stale *Stale
+	Crash *Crash `json:"crash"`
+	Flap  *Flap  `json:"flap"`
+	Wave  *Wave  `json:"wave"`
+	Stale *Stale `json:"stale"`
 }
 
 // Validate reports configuration errors.

@@ -9,6 +9,7 @@ import (
 	"slaplace/internal/core"
 	"slaplace/internal/forecast"
 	"slaplace/internal/metrics"
+	"slaplace/internal/shard"
 )
 
 // Recorder series names for the controller-side plan-reuse stats.
@@ -233,14 +234,15 @@ func (s *Session) cycle(b ClusterBackend, rec *metrics.Recorder, t0, now float64
 }
 
 // Export captures the session's durable state as a wire checkpoint:
-// the cycle counter, the time watermark, and the last snapshot/plan
-// pair of the wire path. The controller's in-memory machinery is not
-// serialized — it is a deterministic function of the planned snapshot
-// sequence, so RestoreSession rebuilds it by re-planning the exported
-// snapshot. Sessions driven through Cycle (an in-process backend, no
-// wire state) export a counters-only checkpoint. The checkpoint's Plan
-// is the session's own wire plan, shared rather than copied: encode it,
-// do not edit it.
+// the cycle counter, the time watermark, the last snapshot/plan pair
+// of the wire path and a sharded controller's partition bounds. The
+// controller's in-memory machinery is not serialized — it is a
+// deterministic function of the planned snapshot sequence, so
+// RestoreSession rebuilds it by re-planning the exported snapshot.
+// Sessions driven through Cycle (an in-process backend, no wire state)
+// export a counters-only checkpoint. The checkpoint's Plan is the
+// session's own wire plan, shared rather than copied: encode it, do
+// not edit it.
 func (s *Session) Export() (*api.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -250,6 +252,10 @@ func (s *Session) Export() (*api.Checkpoint, error) {
 		Cycle:         s.cycles,
 		HasNow:        s.hasNow,
 		LastNowSec:    s.lastNow,
+	}
+	if sc, ok := s.ctrl.(*shard.Controller); ok && sc.Shards() > 1 {
+		ck.Shards = sc.Shards()
+		ck.ShardBounds, ck.ShardReshards = sc.ExportBounds()
 	}
 	if s.wire != nil && s.wire.LastState() != nil {
 		snap, err := api.FromCoreState(s.wire.LastState())
@@ -289,8 +295,9 @@ var ErrCheckpointMismatch = errors.New("control: restored controller does not re
 // checkpoint was taken (identical next snapshots replay, drifted ones
 // go incremental); the re-planned output is digest-checked against the
 // checkpointed plan, so a mis-configured controller is caught here
-// instead of corrupting the cluster. Sharded controllers must have
-// their partition bounds restored before this call.
+// instead of corrupting the cluster. A sharded controller first adopts
+// the checkpointed partition bounds, so the re-plan splits the cluster
+// as the checkpointed cycle did.
 func RestoreSession(ctrl core.Controller, ck *api.Checkpoint) (*Session, error) {
 	if err := ck.Validate(); err != nil {
 		return nil, err
@@ -302,6 +309,11 @@ func RestoreSession(ctrl core.Controller, ck *api.Checkpoint) (*Session, error) 
 	if ck.Controller != "" && ck.Controller != ctrl.Name() {
 		return nil, fmt.Errorf("control: checkpoint is from controller %q, restoring onto %q",
 			ck.Controller, ctrl.Name())
+	}
+	if sc, ok := ctrl.(*shard.Controller); ok {
+		if err := sc.RestoreBounds(ck.ShardBounds, ck.ShardReshards); err != nil {
+			return nil, err
+		}
 	}
 	if ck.Forecast != nil {
 		fc, err := forecast.Restore(ck.Forecast.State())

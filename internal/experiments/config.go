@@ -8,9 +8,9 @@ import (
 	"slaplace/api"
 	"slaplace/internal/baseline"
 	"slaplace/internal/chaos"
-	"slaplace/internal/cluster"
 	"slaplace/internal/control"
 	"slaplace/internal/core"
+	"slaplace/internal/forecast"
 	"slaplace/internal/queueing"
 	"slaplace/internal/res"
 	"slaplace/internal/shard"
@@ -37,7 +37,7 @@ type ScenarioJSON struct {
 	// Costs: zero values mean instant actuation; omit for defaults via
 	// "defaultCosts": true.
 	DefaultCosts bool     `json:"defaultCosts"`
-	Costs        CostJSON `json:"costs"`
+	Costs        vm.Costs `json:"costs"`
 
 	Controller ControllerJSON `json:"controller"`
 
@@ -48,23 +48,16 @@ type ScenarioJSON struct {
 
 	Jobs   []JobStreamJSON `json:"jobs"`
 	Apps   []AppJSON       `json:"apps"`
-	Faults []FaultJSON     `json:"faults"`
+	Faults []NodeFault     `json:"faults"`
 
 	// Chaos, when present, arms the seeded fault-injection engine for
-	// the run (internal/chaos).
-	Chaos *ChaosJSON `json:"chaos"`
+	// the run (internal/chaos). A zero (or omitted) seed falls back to
+	// the scenario seed.
+	Chaos *chaos.Config `json:"chaos"`
 }
 
-// CostJSON mirrors vm.Costs.
-type CostJSON struct {
-	StartLatency   float64 `json:"startLatency"`
-	SuspendLatency float64 `json:"suspendLatency"`
-	ResumeLatency  float64 `json:"resumeLatency"`
-	MigrateMBps    float64 `json:"migrateMBps"`
-	MigrateFloor   float64 `json:"migrateFloor"`
-}
-
-// ControllerJSON selects and tunes a controller by kind.
+// ControllerJSON is the controller spec the scenario format and both
+// CLIs build from: it selects and tunes a controller by kind.
 type ControllerJSON struct {
 	// Kind: "utility" (default), "fcfs", "edf", "fairshare", "static".
 	Kind string `json:"kind"`
@@ -91,23 +84,16 @@ type ControllerJSON struct {
 
 // JobStreamJSON mirrors JobStream.
 type JobStreamJSON struct {
-	Name         string      `json:"name"`
-	WorkMHzs     float64     `json:"workMHzs"`
-	MaxSpeedMHz  float64     `json:"maxSpeedMHz"`
-	MemMB        int64       `json:"memMB"`
-	GoalStretch  float64     `json:"goalStretch"`
-	Fn           FnJSON      `json:"utility"`
-	Phases       []PhaseJSON `json:"phases"`
-	MaxJobs      int         `json:"maxJobs"`
-	InitialBurst int         `json:"initialBurst"`
-	IDPrefix     string      `json:"idPrefix"`
-}
-
-// PhaseJSON mirrors batch.Phase.
-type PhaseJSON struct {
-	Start            float64 `json:"start"`
-	MeanInterarrival float64 `json:"meanInterarrival"`
-	Disable          bool    `json:"disable"`
+	Name         string        `json:"name"`
+	WorkMHzs     float64       `json:"workMHzs"`
+	MaxSpeedMHz  float64       `json:"maxSpeedMHz"`
+	MemMB        int64         `json:"memMB"`
+	GoalStretch  float64       `json:"goalStretch"`
+	Fn           FnJSON        `json:"utility"`
+	Phases       []batch.Phase `json:"phases"`
+	MaxJobs      int           `json:"maxJobs"`
+	InitialBurst int           `json:"initialBurst"`
+	IDPrefix     string        `json:"idPrefix"`
 }
 
 // FnJSON selects a utility function: "linear" (default, floor -1) or
@@ -148,88 +134,6 @@ type PatternJSON struct {
 	Phase     float64   `json:"phase"`     // diurnal
 }
 
-// FaultJSON mirrors NodeFault.
-type FaultJSON struct {
-	Node      string  `json:"node"`
-	FailAt    float64 `json:"failAt"`
-	RestoreAt float64 `json:"restoreAt"`
-}
-
-// ChaosJSON mirrors chaos.Config: a seed plus one block per fault
-// family. A zero (or omitted) seed falls back to the scenario seed.
-type ChaosJSON struct {
-	Seed  uint64          `json:"seed"`
-	Crash *ChaosCrashJSON `json:"crash"`
-	Flap  *ChaosFlapJSON  `json:"flap"`
-	Wave  *ChaosWaveJSON  `json:"wave"`
-	Stale *ChaosStaleJSON `json:"stale"`
-}
-
-// ChaosCrashJSON mirrors chaos.Crash.
-type ChaosCrashJSON struct {
-	Every        int `json:"every"`
-	Start        int `json:"start"`
-	DetectionLag int `json:"detectionLag"`
-	RestoreAfter int `json:"restoreAfter"`
-}
-
-// ChaosFlapJSON mirrors chaos.Flap.
-type ChaosFlapJSON struct {
-	Nodes  int `json:"nodes"`
-	Period int `json:"period"`
-	Start  int `json:"start"`
-}
-
-// ChaosWaveJSON mirrors chaos.Wave.
-type ChaosWaveJSON struct {
-	DepartAt int `json:"departAt"`
-	Count    int `json:"count"`
-	ReturnAt int `json:"returnAt"`
-}
-
-// ChaosStaleJSON mirrors chaos.Stale.
-type ChaosStaleJSON struct {
-	DuplicateEvery int `json:"duplicateEvery"`
-	RegressEvery   int `json:"regressEvery"`
-}
-
-// Build converts and validates the chaos block.
-func (chj ChaosJSON) Build() (chaos.Config, error) {
-	cfg := chaos.Config{Seed: chj.Seed}
-	if chj.Crash != nil {
-		cfg.Crash = &chaos.Crash{
-			Every:        chj.Crash.Every,
-			Start:        chj.Crash.Start,
-			DetectionLag: chj.Crash.DetectionLag,
-			RestoreAfter: chj.Crash.RestoreAfter,
-		}
-	}
-	if chj.Flap != nil {
-		cfg.Flap = &chaos.Flap{
-			Nodes:  chj.Flap.Nodes,
-			Period: chj.Flap.Period,
-			Start:  chj.Flap.Start,
-		}
-	}
-	if chj.Wave != nil {
-		cfg.Wave = &chaos.Wave{
-			DepartAt: chj.Wave.DepartAt,
-			Count:    chj.Wave.Count,
-			ReturnAt: chj.Wave.ReturnAt,
-		}
-	}
-	if chj.Stale != nil {
-		cfg.Stale = &chaos.Stale{
-			DuplicateEvery: chj.Stale.DuplicateEvery,
-			RegressEvery:   chj.Stale.RegressEvery,
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return chaos.Config{}, fmt.Errorf("experiments: chaos: %w", err)
-	}
-	return cfg, nil
-}
-
 // LoadScenario parses a JSON scenario and builds it.
 func LoadScenario(r io.Reader) (Scenario, error) {
 	var sj ScenarioJSON
@@ -258,28 +162,17 @@ func (sj ScenarioJSON) Build() (Scenario, error) {
 			SamplePeriod:   sj.SamplePeriod,
 		},
 	}
+	sc.Costs = sj.Costs
 	if sj.DefaultCosts {
 		sc.Costs = vm.DefaultCosts()
-	} else {
-		sc.Costs = vm.Costs{
-			StartLatency:   sj.Costs.StartLatency,
-			SuspendLatency: sj.Costs.SuspendLatency,
-			ResumeLatency:  sj.Costs.ResumeLatency,
-			MigrateMBps:    sj.Costs.MigrateMBps,
-			MigrateFloor:   sj.Costs.MigrateFloor,
-		}
 	}
 	ctrl, err := sj.Controller.Build()
 	if err != nil {
 		return Scenario{}, err
 	}
 	sc.Controller = ctrl
-	if sj.Controller.Forecast != nil {
-		fc := sj.Controller.Forecast.Config()
-		if err := fc.Validate(); err != nil {
-			return Scenario{}, fmt.Errorf("experiments: forecast: %w", err)
-		}
-		sc.Forecast = &fc
+	if sc.Forecast, err = sj.Controller.ForecastConfig(); err != nil {
+		return Scenario{}, err
 	}
 
 	for i, js := range sj.Jobs {
@@ -296,16 +189,10 @@ func (sj ScenarioJSON) Build() (Scenario, error) {
 				GoalStretch: js.GoalStretch,
 				Fn:          fn,
 			},
+			Phases:       js.Phases,
 			MaxJobs:      js.MaxJobs,
 			InitialBurst: js.InitialBurst,
 			IDPrefix:     js.IDPrefix,
-		}
-		for _, p := range js.Phases {
-			stream.Phases = append(stream.Phases, batch.Phase{
-				Start:             p.Start,
-				MeanInterarrival:  p.MeanInterarrival,
-				DisableSubmission: p.Disable,
-			})
 		}
 		sc.Jobs = append(sc.Jobs, stream)
 	}
@@ -317,19 +204,12 @@ func (sj ScenarioJSON) Build() (Scenario, error) {
 		}
 		sc.Apps = append(sc.Apps, cfg)
 	}
-	for _, fj := range sj.Faults {
-		sc.Faults = append(sc.Faults, NodeFault{
-			Node:      cluster.NodeID(fj.Node),
-			FailAt:    fj.FailAt,
-			RestoreAt: fj.RestoreAt,
-		})
-	}
+	sc.Faults = sj.Faults
 	if sj.Chaos != nil {
-		cfg, err := sj.Chaos.Build()
-		if err != nil {
-			return Scenario{}, err
+		if err := sj.Chaos.Validate(); err != nil {
+			return Scenario{}, fmt.Errorf("experiments: chaos: %w", err)
 		}
-		sc.Chaos = &cfg
+		sc.Chaos = sj.Chaos
 	}
 	if err := sc.Validate(); err != nil {
 		return Scenario{}, err
@@ -340,27 +220,23 @@ func (sj ScenarioJSON) Build() (Scenario, error) {
 // Build constructs the selected controller, wrapped in a sharded
 // planner when Shards > 1.
 func (cj ControllerJSON) Build() (core.Controller, error) {
-	if cj.Shards < 0 {
-		return nil, fmt.Errorf("experiments: negative controller shards %d", cj.Shards)
+	newCtrl, err := cj.Factory()
+	if err != nil {
+		return nil, err
 	}
-	if cj.Shards > 1 {
-		inner := cj
-		inner.Shards = 0
-		if _, err := inner.build(); err != nil {
-			return nil, err // surface bad inner config eagerly, not per shard
-		}
-		return shard.New(shard.Config{
-			Shards: cj.Shards,
-			NewController: func() core.Controller {
-				ctrl, err := inner.build()
-				if err != nil {
-					panic(err) // unreachable: validated above
-				}
-				return ctrl
-			},
-		}), nil
+	return shard.Wrap(cj.Shards, newCtrl), nil
+}
+
+// ForecastConfig resolves the forecast block: nil plans reactively.
+func (cj ControllerJSON) ForecastConfig() (*forecast.Config, error) {
+	if cj.Forecast == nil {
+		return nil, nil
 	}
-	return cj.build()
+	fc := cj.Forecast.Config()
+	if err := fc.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: forecast: %w", err)
+	}
+	return &fc, nil
 }
 
 // rejectUtilityKnobs reports an error when any utility-controller
@@ -377,8 +253,14 @@ func (cj ControllerJSON) rejectUtilityKnobs() error {
 	return nil
 }
 
-// build constructs the selected controller kind, unsharded.
-func (cj ControllerJSON) build() (core.Controller, error) {
+// Factory validates the spec and returns a constructor of fresh,
+// unsharded controllers of the selected kind: one per shard, replica
+// or daemon session.
+func (cj ControllerJSON) Factory() (func() core.Controller, error) {
+	if cj.Shards < 0 {
+		return nil, fmt.Errorf("experiments: negative controller shards %d", cj.Shards)
+	}
+	var ctrl core.Controller // the stateless baselines share one value
 	switch cj.Kind {
 	case "", "utility":
 		if cj.BatchFraction != 0 {
@@ -403,7 +285,7 @@ func (cj ControllerJSON) build() (core.Controller, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		return core.New(cfg), nil
+		return func() core.Controller { return core.New(cfg) }, nil
 	case "fcfs", "edf", "fairshare":
 		if err := cj.rejectUtilityKnobs(); err != nil {
 			return nil, err
@@ -413,11 +295,12 @@ func (cj ControllerJSON) build() (core.Controller, error) {
 		}
 		switch cj.Kind {
 		case "fcfs":
-			return baseline.FCFS{}, nil
+			ctrl = baseline.FCFS{}
 		case "edf":
-			return baseline.EDF{}, nil
+			ctrl = baseline.EDF{}
+		default:
+			ctrl = baseline.FairShare{}
 		}
-		return baseline.FairShare{}, nil
 	case "static":
 		if err := cj.rejectUtilityKnobs(); err != nil {
 			return nil, err
@@ -425,10 +308,11 @@ func (cj ControllerJSON) build() (core.Controller, error) {
 		if cj.BatchFraction <= 0 || cj.BatchFraction >= 1 {
 			return nil, fmt.Errorf("experiments: static controller needs batchFraction in (0,1), got %v", cj.BatchFraction)
 		}
-		return baseline.Static{BatchFraction: cj.BatchFraction}, nil
+		ctrl = baseline.Static{BatchFraction: cj.BatchFraction}
 	default:
 		return nil, fmt.Errorf("experiments: unknown controller kind %q", cj.Kind)
 	}
+	return func() core.Controller { return ctrl }, nil
 }
 
 // Build constructs the selected utility function (nil = default).

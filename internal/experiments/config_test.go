@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"slaplace/api"
+	"slaplace/internal/chaos"
 	"slaplace/internal/res"
 	"slaplace/internal/trace"
+	"slaplace/internal/vm"
+	"slaplace/internal/workload/batch"
 )
 
 // validJSON is a complete scenario document exercising most knobs.
@@ -219,6 +223,74 @@ func TestLoadScenarioChaosBlock(t *testing.T) {
 		`"faults": [], "chaos": {"crsh": {"every": 4, "start": 2}}`, 1)
 	if _, err := LoadScenario(strings.NewReader(typo)); err == nil {
 		t.Error(`typo'd "crsh" family accepted silently`)
+	}
+}
+
+// taggedBlocksJSON sets every block that decodes straight into its
+// owning type: custom costs, a submission-disabled phase, a node fault
+// and all four chaos families.
+var taggedBlocksJSON = strings.NewReplacer(
+	`"defaultCosts": true,`,
+	`"costs": {"startLatency": 11, "suspendLatency": 12, "resumeLatency": 13, "migrateMBps": 14, "migrateFloor": 15},`,
+	`"phases": [{"start": 0, "meanInterarrival": 400}]`,
+	`"phases": [{"start": 0, "meanInterarrival": 400}, {"start": 3600, "disable": true}]`,
+	`"faults": [{"node": "node-002", "failAt": 3000, "restoreAt": 5000}]`,
+	`"faults": [{"node": "node-002", "failAt": 3000, "restoreAt": 5000}],
+	 "chaos": {"seed": 3,
+	           "crash": {"every": 4, "start": 2, "detectionLag": 2, "restoreAfter": 5},
+	           "flap": {"nodes": 1, "period": 2, "start": 3},
+	           "wave": {"departAt": 6, "count": 2, "returnAt": 10},
+	           "stale": {"duplicateEvery": 3, "regressEvery": 5}}`,
+).Replace(validJSON)
+
+// TestLoadScenarioTaggedBlocks: the costs, phase, fault and chaos
+// blocks decode field for field into vm.Costs, batch.Phase, NodeFault
+// and chaos.Config.
+func TestLoadScenarioTaggedBlocks(t *testing.T) {
+	sc, err := LoadScenario(strings.NewReader(taggedBlocksJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (vm.Costs{StartLatency: 11, SuspendLatency: 12, ResumeLatency: 13, MigrateMBps: 14, MigrateFloor: 15}); sc.Costs != want {
+		t.Errorf("costs %+v, want %+v", sc.Costs, want)
+	}
+	wantPhases := []batch.Phase{{Start: 0, MeanInterarrival: 400}, {Start: 3600, DisableSubmission: true}}
+	if !reflect.DeepEqual(sc.Jobs[0].Phases, wantPhases) {
+		t.Errorf("phases %+v, want %+v", sc.Jobs[0].Phases, wantPhases)
+	}
+	if want := []NodeFault{{Node: "node-002", FailAt: 3000, RestoreAt: 5000}}; !reflect.DeepEqual(sc.Faults, want) {
+		t.Errorf("faults %+v, want %+v", sc.Faults, want)
+	}
+	want := &chaos.Config{
+		Seed:  3,
+		Crash: &chaos.Crash{Every: 4, Start: 2, DetectionLag: 2, RestoreAfter: 5},
+		Flap:  &chaos.Flap{Nodes: 1, Period: 2, Start: 3},
+		Wave:  &chaos.Wave{DepartAt: 6, Count: 2, ReturnAt: 10},
+		Stale: &chaos.Stale{DuplicateEvery: 3, RegressEvery: 5},
+	}
+	if !reflect.DeepEqual(sc.Chaos, want) {
+		t.Errorf("chaos %+v, want %+v", sc.Chaos, want)
+	}
+}
+
+// TestLoadScenarioRejectsGoFieldNames: a tagged type answers to its
+// JSON names only; a Go field name that differs from it is an unknown
+// field.
+func TestLoadScenarioRejectsGoFieldNames(t *testing.T) {
+	for _, c := range []struct{ from, to string }{
+		{`"disable": true`, `"disableSubmission": true`},
+		{`"disable": true`, `"DisableSubmission": true`},
+		{`"nodeCPUMHz": 18000`, `"nodeCPU": 18000`},
+		{`"nodeMemMB": 16000`, `"nodeMem": 16000`},
+		{`"maxPerInstanceMHz": 18000`, `"maxPerInstance": 18000`},
+	} {
+		doc := strings.Replace(taggedBlocksJSON, c.from, c.to, 1)
+		if doc == taggedBlocksJSON {
+			t.Fatalf("%s: not in the document", c.from)
+		}
+		if _, err := LoadScenario(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s accepted", c.to)
+		}
 	}
 }
 

@@ -42,9 +42,9 @@ type JobStream struct {
 // NodeFault schedules a node failure (and optional recovery) during
 // the run, for the failure-injection experiments.
 type NodeFault struct {
-	Node      cluster.NodeID
-	FailAt    float64
-	RestoreAt float64 // 0 = never restored
+	Node      cluster.NodeID `json:"node"`
+	FailAt    float64        `json:"failAt"`
+	RestoreAt float64        `json:"restoreAt"` // 0 = never restored
 }
 
 // NodeSpec describes one group of identical nodes in a heterogeneous

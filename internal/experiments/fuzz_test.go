@@ -61,6 +61,7 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add(strings.Replace(fuzzScenarioSeed, `"every": 4`, `"every": -4`, 1))
 	f.Add(`not json at all`)
 	f.Add(`{"nodes": 1e309}`)
+	f.Add(taggedBlocksJSON)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		sc, err := LoadScenario(strings.NewReader(doc))

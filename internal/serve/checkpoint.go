@@ -11,19 +11,13 @@ import (
 	"slaplace/api"
 )
 
-// exportLocked builds the cluster's checkpoint. Caller holds cs.mu so
-// the session state and the sharded partition boundaries are one
-// consistent cut.
+// exportLocked builds the cluster's checkpoint. Caller holds cs.mu.
 func exportLocked(cs *clusterSession, clusterID string) (*api.Checkpoint, error) {
 	ck, err := cs.sess.Export()
 	if err != nil {
 		return nil, err
 	}
 	ck.ClusterID = clusterID
-	ck.Shards = cs.shards
-	if cs.sharded != nil {
-		ck.ShardBounds, ck.ShardReshards = cs.sharded.ExportBounds()
-	}
 	return ck, nil
 }
 

@@ -136,14 +136,9 @@ type clusterSession struct {
 	initErr error
 	ready   atomic.Bool
 
-	mu     sync.Mutex
-	sess   *control.Session
-	shards int // partition count when planning sharded, else 0
-	// sharded is the session's shard controller when shards > 0 (the
-	// stats endpoint reads its partition diagnostics; checkpoints carry
-	// its boundary state).
-	sharded *shard.Controller
-	prev    *api.Plan
+	mu   sync.Mutex
+	sess *control.Session
+	prev *api.Plan
 	// ckCycle is the session cycle of the last checkpoint write.
 	ckCycle int
 }
@@ -266,16 +261,7 @@ func (s *Server) initSession(cs *clusterSession, clusterID string, shards int, f
 			}
 		}
 	}
-	var ctrl core.Controller
-	var sharded *shard.Controller
-	if shards > 1 {
-		sharded = shard.New(shard.Config{Shards: shards, NewController: s.opts.NewController})
-		ctrl = sharded
-	} else {
-		ctrl = s.opts.NewController()
-		shards = 0
-	}
-	sess, err := control.NewSession(ctrl)
+	sess, err := control.NewSession(shard.Wrap(shards, s.opts.NewController))
 	if err != nil {
 		return err
 	}
@@ -292,37 +278,21 @@ func (s *Server) initSession(cs *clusterSession, clusterID string, shards int, f
 			return err
 		}
 	}
-	cs.sess, cs.shards, cs.sharded = sess, shards, sharded
+	cs.sess = sess
 	cs.ready.Store(true)
 	return nil
 }
 
-// restoreInto rebuilds a session from a checkpoint: the sharded
-// partition boundaries first (they must be staged before the restore
-// re-plan), then the control session — which re-plans the checkpointed
+// restoreInto rebuilds a session from a checkpoint, in the shape the
+// checkpoint records; the control session re-plans the checkpointed
 // snapshot to warm the controller and digest-checks the result against
 // the checkpointed plan.
 func (s *Server) restoreInto(cs *clusterSession, ck *api.Checkpoint) error {
-	var ctrl core.Controller
-	var sharded *shard.Controller
-	shards := ck.Shards
-	if shards > 1 {
-		sharded = shard.New(shard.Config{Shards: shards, NewController: s.opts.NewController})
-		if err := sharded.RestoreBounds(ck.ShardBounds, ck.ShardReshards); err != nil {
-			return err
-		}
-		ctrl = sharded
-	} else {
-		ctrl = s.opts.NewController()
-		shards = 0
-	}
-	sess, err := control.RestoreSession(ctrl, ck)
+	sess, err := control.RestoreSession(shard.Wrap(ck.Shards, s.opts.NewController), ck)
 	if err != nil {
 		return err
 	}
-	cs.sess, cs.shards, cs.sharded = sess, shards, sharded
-	cs.prev = ck.Plan
-	cs.ckCycle = ck.Cycle
+	cs.sess, cs.prev, cs.ckCycle = sess, ck.Plan, ck.Cycle
 	return nil
 }
 
@@ -523,10 +493,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			ClusterID:  id,
 			Controller: cs.sess.Name(),
 			Cycles:     cs.sess.Cycles(),
-			Shards:     cs.shards,
 		}
-		if cs.sharded != nil {
-			d := cs.sharded.Diagnostics()
+		if sc, ok := cs.sess.Controller().(*shard.Controller); ok && sc.Shards() > 1 {
+			d := sc.Diagnostics()
+			ss.Shards = sc.Shards()
 			ss.EffectiveShards = d.EffectiveShards
 			ss.ShardLoadSpread = d.LoadSpread
 			ss.Reshards = d.Reshards

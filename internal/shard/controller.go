@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"slaplace/api"
 	"slaplace/internal/core"
 	"slaplace/internal/res"
 )
@@ -22,14 +23,6 @@ type Config struct {
 	// stateful planner keeps its arena, node indexes and incremental
 	// reuse tiers per shard.
 	NewController func() core.Controller
-	// ReshardSpread is the per-shard demand-spread ratio (max/min
-	// shard load) above which the partitioner migrates node blocks
-	// between shards. Zero means DefaultReshardSpread; math.Inf(1)
-	// keeps the initial boundaries until the node set changes.
-	// Resharding costs the touched shards their incremental state for
-	// one cycle; untouched shards keep byte-identical sub-snapshots
-	// and with them their replay/carry-over tiers.
-	ReshardSpread float64
 }
 
 // Diagnostics describes the most recent partition of a sharded
@@ -83,24 +76,29 @@ type Controller struct {
 var _ core.Controller = (*Controller)(nil)
 var _ core.PlanStatsProvider = (*Controller)(nil)
 
-// MaxShards caps the configured partition count (matching the wire
-// protocol's api.MaxShards): a shard needs a handful of nodes to be
-// worth planning separately, and an unbounded count would let one bad
-// config allocate that many controllers.
-const MaxShards = 4096
-
-// New builds a sharded controller.
+// New builds a sharded controller. The partition count is capped at
+// the wire protocol's api.MaxShards: an unbounded count would let one
+// bad config allocate that many controllers.
 func New(cfg Config) *Controller {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	if cfg.Shards > MaxShards {
-		cfg.Shards = MaxShards
+	if cfg.Shards > api.MaxShards {
+		cfg.Shards = api.MaxShards
 	}
 	if cfg.NewController == nil {
 		cfg.NewController = func() core.Controller { return core.New(core.DefaultConfig()) }
 	}
 	return &Controller{cfg: cfg}
+}
+
+// Wrap builds a session's controller from its shard count: newCtrl()
+// itself for k <= 1, a k-shard controller over newCtrl otherwise.
+func Wrap(k int, newCtrl func() core.Controller) core.Controller {
+	if k <= 1 {
+		return newCtrl()
+	}
+	return New(Config{Shards: k, NewController: newCtrl})
 }
 
 // Name implements core.Controller.
@@ -145,7 +143,7 @@ func (c *Controller) Plan(st *core.State) *core.Plan {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.scratch.split(st, c.cfg.Shards, c.cfg.ReshardSpread)
+	p := c.scratch.split(st, c.cfg.Shards)
 	k := len(p.states)
 
 	plans := make([]*core.Plan, k)

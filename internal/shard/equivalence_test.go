@@ -145,7 +145,7 @@ func shardAligned(st *core.State, k int) bool {
 		return false
 	}
 	var sc partitionScratch
-	p := sc.split(cloneState(st), k, 0)
+	p := sc.split(cloneState(st), k)
 	if len(p.reconcile) > 0 {
 		return false
 	}
@@ -224,7 +224,7 @@ func TestShardedMatchesStandalonePartitionPlans(t *testing.T) {
 			got := sharded.Plan(cloneState(st))
 
 			ref := cloneState(st)
-			p := sc.split(ref, k, 0)
+			p := sc.split(ref, k)
 			plans := make([]*core.Plan, len(p.states))
 			for i, sub := range p.states {
 				plans[i] = fromScratchPlan(sub)

@@ -213,15 +213,11 @@ func abs64(v int64) int64 {
 
 // split builds the K-way partition of st into the scratch's recycled
 // storage, reusing the previous cycle's shard boundaries unless the
-// node set changed or the demand spread crossed spreadLimit (<= 0
-// means DefaultReshardSpread; +Inf never reshards on skew). The
-// returned partition (and its states) is valid until the next split on
-// the same scratch.
-func (sc *partitionScratch) split(st *core.State, k int, spreadLimit float64) *partition {
+// node set changed or the demand spread crossed DefaultReshardSpread.
+// The returned partition (and its states) is valid until the next
+// split on the same scratch.
+func (sc *partitionScratch) split(st *core.State, k int) *partition {
 	k = effectiveShards(k, len(st.Nodes))
-	if spreadLimit <= 0 {
-		spreadLimit = DefaultReshardSpread
-	}
 	n := len(st.Nodes)
 	p := &sc.p
 	p.reconcile = p.reconcile[:0]
@@ -348,7 +344,7 @@ func (sc *partitionScratch) split(st *core.State, k int, spreadLimit float64) *p
 
 	needBounds := !adopted && (topologyChanged || sc.boundsK != k || len(sc.bounds) != k+1)
 	if !needBounds && !adopted {
-		if spread := loadSpread(p.loads, prefix, sc.bounds, queuedW, k); spread > spreadLimit {
+		if spread := loadSpread(p.loads, prefix, sc.bounds, queuedW, k); spread > DefaultReshardSpread {
 			needBounds = true
 		}
 	}

@@ -252,22 +252,6 @@ func TestBoundsExportRestore(t *testing.T) {
 	}
 }
 
-// TestReshardSpreadInfNeverReshards: the +Inf threshold pins the
-// initial boundaries for the life of the topology.
-func TestReshardSpreadInfNeverReshards(t *testing.T) {
-	st := reshardState()
-	ctrl := New(Config{Shards: 3, ReshardSpread: math.Inf(1)})
-	ctrl.Plan(cloneState(st))
-	injectTailSkew(st)
-	ctrl.Plan(cloneState(st))
-	if d := ctrl.Diagnostics(); d.Reshards != 0 || d.LastResharded {
-		t.Errorf("ReshardSpread=+Inf resharded anyway: %+v", d)
-	}
-	if d := ctrl.Diagnostics(); d.LoadSpread <= 1.5 {
-		t.Errorf("skewed cluster reports spread %v, want > 1.5", d.LoadSpread)
-	}
-}
-
 // TestMegaAppSpanningEveryShard: a web app with an instance on every
 // node of every shard still lives in exactly one home shard; every
 // foreign instance is reconciled away in the merged plan.
@@ -287,7 +271,7 @@ func TestMegaAppSpanningEveryShard(t *testing.T) {
 
 	homes := 0
 	var sc partitionScratch
-	p := sc.split(cloneState(st), 4, 0)
+	p := sc.split(cloneState(st), 4)
 	for _, sub := range p.states {
 		for i := range sub.Apps {
 			if sub.Apps[i].ID == "mega" {
@@ -339,7 +323,7 @@ func TestShardsBeyondPopulatedNodes(t *testing.T) {
 		t.Errorf("diagnostics %+v, want configured 8 / effective 3", d)
 	}
 	var sc partitionScratch
-	p := sc.split(cloneState(st), 8, 0)
+	p := sc.split(cloneState(st), 8)
 	if len(p.states) != 3 {
 		t.Fatalf("partitioner built %d shards for 3 nodes", len(p.states))
 	}
@@ -401,7 +385,7 @@ func TestSplitParallelMatchesSerial(t *testing.T) {
 		var sc partitionScratch
 		seq := cloneState(st)
 		for cycle := 0; cycle < 3; cycle++ {
-			p := sc.split(seq, 4, 0)
+			p := sc.split(seq, 4)
 			digests[pass] = append(digests[pass], partitionDigest(p))
 			if cycle == 1 {
 				injectTailSkew(seq)
@@ -421,7 +405,7 @@ func TestSplitParallelMatchesSerial(t *testing.T) {
 func TestPartitionLoadsAndSpread(t *testing.T) {
 	st := reshardState()
 	var sc partitionScratch
-	p := sc.split(cloneState(st), 3, 0)
+	p := sc.split(cloneState(st), 3)
 	if len(p.loads) != 3 {
 		t.Fatalf("loads %v, want 3 entries", p.loads)
 	}

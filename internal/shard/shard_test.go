@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"slaplace/api"
 	"slaplace/internal/cluster"
 	"slaplace/internal/core"
 	"slaplace/internal/queueing"
@@ -284,7 +285,7 @@ func TestPartitionPinsAndBalances(t *testing.T) {
 		testJob("stranded", batch.Running, "gone", 5000, 4500*1000, 99000, 4),
 	)
 	var sc partitionScratch
-	p := sc.split(st, 3, 0)
+	p := sc.split(st, 3)
 	if len(p.states) != 3 {
 		t.Fatalf("got %d shards", len(p.states))
 	}
@@ -341,7 +342,7 @@ func TestPartitionAppHomeAndReconcile(t *testing.T) {
 		},
 	}
 	var sc partitionScratch
-	p := sc.split(st, 3, 0)
+	p := sc.split(st, 3)
 	if n := len(p.states[1].Apps); n != 1 || p.states[1].Apps[0].ID != "web" {
 		t.Fatalf("shard 1 apps: %+v", p.states[1].Apps)
 	}
@@ -375,8 +376,8 @@ func TestPartitionDeterministic(t *testing.T) {
 		k := 2 + rng.Intn(3)
 		var s1, s2 partitionScratch
 		for cycle := 0; cycle < 5; cycle++ {
-			a := partitionDigest(s1.split(cloneState(st), k, 0))
-			b := partitionDigest(s2.split(cloneState(st), k, 0))
+			a := partitionDigest(s1.split(cloneState(st), k))
+			b := partitionDigest(s2.split(cloneState(st), k))
 			if a != b {
 				t.Fatalf("trial %d cycle %d: partition differs between two scratches replaying the same sequence", trial, cycle)
 			}
@@ -516,7 +517,7 @@ func TestOverSizedShardConfig(t *testing.T) {
 	if stats := ctrl.PlanStats(); stats.LastMode != core.PlanReplayed {
 		t.Errorf("LastMode %v after a full replay cycle, want replayed (idle-controller stats leak?)", stats.LastMode)
 	}
-	if New(Config{Shards: MaxShards + 5}).cfg.Shards != MaxShards {
+	if New(Config{Shards: api.MaxShards + 5}).cfg.Shards != api.MaxShards {
 		t.Errorf("config shard count not clamped to MaxShards")
 	}
 }

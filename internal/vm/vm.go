@@ -80,17 +80,17 @@ func (s State) String() string {
 // Costs parameterizes actuation latencies.
 type Costs struct {
 	// StartLatency is the seconds between Provision and Running.
-	StartLatency float64
+	StartLatency float64 `json:"startLatency"`
 	// SuspendLatency is the seconds a suspend-to-disk takes; progress
 	// stops immediately, memory is released when it completes.
-	SuspendLatency float64
+	SuspendLatency float64 `json:"suspendLatency"`
 	// ResumeLatency is the seconds to restore a suspended image.
-	ResumeLatency float64
+	ResumeLatency float64 `json:"resumeLatency"`
 	// MigrateMBps is the copy bandwidth for live migration, MB/s.
 	// Migration duration = mem / MigrateMBps, floored by MigrateFloor.
-	MigrateMBps float64
+	MigrateMBps float64 `json:"migrateMBps"`
 	// MigrateFloor is the minimum migration duration in seconds.
-	MigrateFloor float64
+	MigrateFloor float64 `json:"migrateFloor"`
 }
 
 // DefaultCosts returns latencies typical of 2008-era virtualization:

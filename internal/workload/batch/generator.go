@@ -13,9 +13,9 @@ import (
 // evaluation uses a mean of 260 s and "slightly decreases" the rate
 // near the end of the run — expressed here as a second phase.
 type Phase struct {
-	Start             float64 // absolute time the phase begins
-	MeanInterarrival  float64 // mean of the exponential inter-arrival
-	DisableSubmission bool    // a phase with no arrivals at all
+	Start             float64 `json:"start"`            // absolute time the phase begins
+	MeanInterarrival  float64 `json:"meanInterarrival"` // mean of the exponential inter-arrival
+	DisableSubmission bool    `json:"disable"`          // a phase with no arrivals at all
 }
 
 // Generator submits jobs of one class according to a phased Poisson
