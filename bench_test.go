@@ -20,10 +20,10 @@ import (
 	"testing"
 	"time"
 
-	"slaplace"
-
+	"slaplace/internal/baseline"
 	"slaplace/internal/cluster"
 	"slaplace/internal/core"
+	"slaplace/internal/experiments"
 	"slaplace/internal/queueing"
 	"slaplace/internal/res"
 	"slaplace/internal/utility"
@@ -31,9 +31,9 @@ import (
 )
 
 // runOnce executes a scenario once per benchmark iteration.
-func runOnce(b *testing.B, sc slaplace.Scenario) *slaplace.Result {
+func runOnce(b *testing.B, sc experiments.Scenario) *experiments.Result {
 	b.Helper()
-	r, err := slaplace.Run(sc)
+	r, err := experiments.Run(sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func runOnce(b *testing.B, sc slaplace.Scenario) *slaplace.Result {
 }
 
 // seriesMin returns a series minimum over [t0, t1].
-func seriesMin(r *slaplace.Result, name string, t0, t1 float64) float64 {
+func seriesMin(r *experiments.Result, name string, t0, t1 float64) float64 {
 	min := math.Inf(1)
 	for _, p := range r.Recorder.Series(name).Window(t0, t1) {
 		min = math.Min(min, p.V)
@@ -55,9 +55,9 @@ func seriesMin(r *slaplace.Result, name string, t0, t1 float64) float64 {
 // the utility troughs and the mean gap between the two curves during
 // contention — the equalization the paper demonstrates.
 func BenchmarkFigure1_UtilityEqualization(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.PaperScenario(42))
+		r = runOnce(b, experiments.PaperScenario(42))
 	}
 	webU := r.Recorder.Series("trans/web/utility")
 	jobU := r.Recorder.Series("jobs/hypoUtility")
@@ -82,9 +82,9 @@ func BenchmarkFigure1_UtilityEqualization(b *testing.B) {
 // cluster capacity the jobs reach — the "uneven distribution of
 // resources" the paper highlights.
 func BenchmarkFigure2_AllocationTracksDemand(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.PaperScenario(42))
+		r = runOnce(b, experiments.PaperScenario(42))
 	}
 	capacity := 25.0 * 18000
 	jobDemandPeak, jobAllocPeak := 0.0, 0.0
@@ -105,9 +105,9 @@ func BenchmarkFigure2_AllocationTracksDemand(b *testing.B) {
 // BenchmarkDiffServ regenerates E4 (service differentiation): equal
 // work, different goals; gold must finish with lower stretch.
 func BenchmarkDiffServ(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.DiffServScenario(42))
+		r = runOnce(b, experiments.DiffServScenario(42))
 	}
 	gold := r.ClassStats["gold"]
 	silver := r.ClassStats["silver"]
@@ -122,19 +122,19 @@ func BenchmarkDiffServ(b *testing.B) {
 func BenchmarkBaselines(b *testing.B) {
 	cases := []struct {
 		name string
-		ctrl slaplace.Controller
+		ctrl core.Controller
 	}{
-		{"utility", slaplace.NewController(slaplace.DefaultControllerConfig())},
-		{"fcfs", slaplace.FCFS},
-		{"edf", slaplace.EDF},
-		{"fairshare", slaplace.FairShare},
-		{"static60", slaplace.StaticPartition(0.6)},
+		{"utility", core.New(core.DefaultConfig())},
+		{"fcfs", baseline.FCFS{}},
+		{"edf", baseline.EDF{}},
+		{"fairshare", baseline.FairShare{}},
+		{"static60", baseline.Static{BatchFraction: 0.6}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var r *slaplace.Result
+			var r *experiments.Result
 			for i := 0; i < b.N; i++ {
-				r = runOnce(b, slaplace.BaselineScenario(42, c.ctrl))
+				r = runOnce(b, experiments.BaselineScenario(42, c.ctrl))
 			}
 			minU := math.Min(
 				seriesMin(r, "trans/web/utility", 1200, 36000),
@@ -156,9 +156,9 @@ func BenchmarkChurnAblation(b *testing.B) {
 			name = "oblivious"
 		}
 		b.Run(name, func(b *testing.B) {
-			var r *slaplace.Result
+			var r *experiments.Result
 			for i := 0; i < b.N; i++ {
-				r = runOnce(b, slaplace.ChurnScenario(42, aware))
+				r = runOnce(b, experiments.ChurnScenario(42, aware))
 			}
 			b.ReportMetric(float64(r.VMCounters.Migrations), "migrations")
 			b.ReportMetric(float64(r.VMCounters.Suspends), "suspends")
@@ -170,9 +170,9 @@ func BenchmarkChurnAblation(b *testing.B) {
 // BenchmarkFailureRecovery regenerates the failure-injection run:
 // node failures mid-run with checkpoint/replacement recovery.
 func BenchmarkFailureRecovery(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.FailureScenario(42))
+		r = runOnce(b, experiments.FailureScenario(42))
 	}
 	b.ReportMetric(float64(r.VMCounters.Evictions), "evictions")
 	b.ReportMetric(float64(r.JobStats.Completed), "completed")
@@ -182,9 +182,9 @@ func BenchmarkFailureRecovery(b *testing.B) {
 // how completely the controller re-allocates around a 3x transactional
 // surge.
 func BenchmarkSpike(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.SpikeScenario(42))
+		r = runOnce(b, experiments.SpikeScenario(42))
 	}
 	webAlloc := r.Recorder.Series("trans/web/alloc")
 	pre := webAlloc.MeanOver(9000, 18000)
@@ -198,9 +198,9 @@ func BenchmarkSpike(b *testing.B) {
 // BenchmarkMultiApp regenerates the three-SLA fairness experiment:
 // identical traffic, SLA-ordered CPU allocations, all apps healthy.
 func BenchmarkMultiApp(b *testing.B) {
-	var r *slaplace.Result
+	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = runOnce(b, slaplace.MultiAppScenario(42))
+		r = runOnce(b, experiments.MultiAppScenario(42))
 	}
 	alloc := func(id string) float64 {
 		return r.Recorder.Series("trans/"+id+"/alloc").MeanOver(12000, 36000)
@@ -444,7 +444,7 @@ func BenchmarkEqualizer(b *testing.B) {
 // 120 control cycles over 72 000 simulated seconds — as one unit.
 func BenchmarkFullPaperRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := runOnce(b, slaplace.PaperScenario(uint64(42)))
+		r := runOnce(b, experiments.PaperScenario(uint64(42)))
 		if r.JobStats.Completed == 0 {
 			b.Fatal("no completions")
 		}

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	slaplace-figures [-fig 1|2|diffserv|baselines|churn|failure|all]
-//	                 [-seed n] [-out dir]
+//	slaplace-figures [-fig 1|2|paper|diffserv|baselines|churn|failure|
+//	                       spike|multiapp|all] [-seed n] [-out dir]
 //
 // Figure 1 — actual utility of the transactional workload and average
 // hypothetical utility of the long-running workload over time.
@@ -18,7 +18,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"slaplace"
+	"slaplace/internal/baseline"
+	"slaplace/internal/core"
+	"slaplace/internal/experiments"
+	"slaplace/internal/metrics"
 )
 
 func main() {
@@ -67,7 +70,7 @@ func fatal(err error) {
 }
 
 // writeCSV exports the named series of a result to a wide CSV file.
-func writeCSV(r *slaplace.Result, path string, names []string) {
+func writeCSV(r *experiments.Result, path string, names []string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
@@ -82,12 +85,12 @@ func writeCSV(r *slaplace.Result, path string, names []string) {
 // chart renders recorder series as ASCII, dropping warm-up samples
 // before t=1200 s so the figure axes match the steady measurement
 // window (the paper's figures start at 10 000 s).
-func chart(r *slaplace.Result, title string, names []string) {
-	series := make([]*slaplace.Series, 0, len(names))
+func chart(r *experiments.Result, title string, names []string) {
+	series := make([]*metrics.Series, 0, len(names))
 	for _, n := range names {
 		series = append(series, r.Recorder.Series(n).Slice(1200, 1e18))
 	}
-	if err := slaplace.RenderASCII(os.Stdout, title, series, 90, 18); err != nil {
+	if err := metrics.RenderASCII(os.Stdout, title, series, 90, 18); err != nil {
 		fatal(err)
 	}
 	fmt.Println()
@@ -97,32 +100,32 @@ func chart(r *slaplace.Result, title string, names []string) {
 // Figure 2.
 func paperFigures(seed uint64, out, which string) {
 	fmt.Printf("== paper scenario (seed %d): 25 nodes × 4 CPUs, 800-job stream, 600 s cycles ==\n", seed)
-	r, err := slaplace.Run(slaplace.PaperScenario(seed))
+	r, err := experiments.Run(experiments.PaperScenario(seed))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(slaplace.Summarize(r))
+	fmt.Println(experiments.SummarizeResult(r))
 	fmt.Println()
 	if which == "1" || which == "paper" {
 		chart(r, "Figure 1: utility over time (transactional actual vs long-running hypothetical)",
-			slaplace.Fig1Series)
-		writeCSV(r, filepath.Join(out, "fig1.csv"), slaplace.Fig1Series)
+			experiments.Fig1SeriesNames)
+		writeCSV(r, filepath.Join(out, "fig1.csv"), experiments.Fig1SeriesNames)
 	}
 	if which == "2" || which == "paper" {
 		chart(r, "Figure 2: CPU power demanded and allocated per workload (MHz)",
-			slaplace.Fig2Series)
-		writeCSV(r, filepath.Join(out, "fig2.csv"), slaplace.Fig2Series)
+			experiments.Fig2SeriesNames)
+		writeCSV(r, filepath.Join(out, "fig2.csv"), experiments.Fig2SeriesNames)
 	}
 }
 
 // diffserv runs the gold/silver differentiation extension.
 func diffserv(seed uint64, out string) {
 	fmt.Printf("== diffserv scenario (seed %d): gold (tight goals) vs silver (loose goals) ==\n", seed)
-	r, err := slaplace.Run(slaplace.DiffServScenario(seed))
+	r, err := experiments.Run(experiments.DiffServScenario(seed))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(slaplace.Summarize(r))
+	fmt.Println(experiments.SummarizeResult(r))
 	for _, name := range []string{"gold", "silver"} {
 		cs := r.ClassStats[name]
 		fmt.Printf("  %-8s completed=%4d violations=%3d meanUtility=%.3f meanStretch=%.2f\n",
@@ -136,17 +139,17 @@ func diffserv(seed uint64, out string) {
 // baselines compares every controller on the shortened paper workload.
 func baselines(seed uint64, out string) {
 	fmt.Printf("== baseline comparison (seed %d): shortened paper workload ==\n", seed)
-	ctrls := []slaplace.Controller{
-		slaplace.NewController(slaplace.DefaultControllerConfig()),
-		slaplace.FCFS,
-		slaplace.EDF,
-		slaplace.FairShare,
-		slaplace.StaticPartition(0.6),
+	ctrls := []core.Controller{
+		core.New(core.DefaultConfig()),
+		baseline.FCFS{},
+		baseline.EDF{},
+		baseline.FairShare{},
+		baseline.Static{BatchFraction: 0.6},
 	}
 	fmt.Printf("%-22s %9s %9s %9s %5s %9s %8s\n",
 		"controller", "minWebU", "minJobU", "completed", "viol", "meanU", "suspends")
 	for _, ctrl := range ctrls {
-		r, err := slaplace.Run(slaplace.BaselineScenario(seed, ctrl))
+		r, err := experiments.Run(experiments.BaselineScenario(seed, ctrl))
 		if err != nil {
 			fatal(err)
 		}
@@ -164,7 +167,7 @@ func baselines(seed uint64, out string) {
 func churn(seed uint64) {
 	fmt.Printf("== churn ablation (seed %d) ==\n", seed)
 	for _, aware := range []bool{true, false} {
-		r, err := slaplace.Run(slaplace.ChurnScenario(seed, aware))
+		r, err := experiments.Run(experiments.ChurnScenario(seed, aware))
 		if err != nil {
 			fatal(err)
 		}
@@ -182,37 +185,37 @@ func churn(seed uint64) {
 // failure reports the node-failure robustness run.
 func failure(seed uint64, out string) {
 	fmt.Printf("== failure injection (seed %d): two node failures, one recovery ==\n", seed)
-	r, err := slaplace.Run(slaplace.FailureScenario(seed))
+	r, err := experiments.Run(experiments.FailureScenario(seed))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(slaplace.Summarize(r))
+	fmt.Println(experiments.SummarizeResult(r))
 	fmt.Printf("  evictions=%d\n", r.VMCounters.Evictions)
-	chart(r, "Failure run: utilities across two node failures", slaplace.Fig1Series)
-	writeCSV(r, filepath.Join(out, "failure.csv"), slaplace.Fig1Series)
+	chart(r, "Failure run: utilities across two node failures", experiments.Fig1SeriesNames)
+	writeCSV(r, filepath.Join(out, "failure.csv"), experiments.Fig1SeriesNames)
 }
 
 // spike reports the transactional-surge run.
 func spike(seed uint64, out string) {
 	fmt.Printf("== load spike (seed %d): 3x transactional surge at t=18000..25200 ==\n", seed)
-	r, err := slaplace.Run(slaplace.SpikeScenario(seed))
+	r, err := experiments.Run(experiments.SpikeScenario(seed))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(slaplace.Summarize(r))
+	fmt.Println(experiments.SummarizeResult(r))
 	names := []string{"trans/web/alloc", "jobs/alloc"}
 	chart(r, "Spike: CPU allocation tracks the surge", names)
-	writeCSV(r, filepath.Join(out, "spike.csv"), append(names, slaplace.Fig1Series...))
+	writeCSV(r, filepath.Join(out, "spike.csv"), append(names, experiments.Fig1SeriesNames...))
 }
 
 // multiapp reports the three-SLA fairness run.
 func multiapp(seed uint64, out string) {
 	fmt.Printf("== multi-app fairness (seed %d): 1.5s / 3s / 6s SLAs, equal traffic ==\n", seed)
-	r, err := slaplace.Run(slaplace.MultiAppScenario(seed))
+	r, err := experiments.Run(experiments.MultiAppScenario(seed))
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(slaplace.Summarize(r))
+	fmt.Println(experiments.SummarizeResult(r))
 	var names []string
 	for _, id := range []string{"gold-web", "silver-web", "bronze-web"} {
 		u := r.Recorder.Series("trans/" + id + "/utility")
@@ -226,7 +229,7 @@ func multiapp(seed uint64, out string) {
 }
 
 // minSeries returns a series' minimum after warm-up (t >= 1200).
-func minSeries(r *slaplace.Result, name string) float64 {
+func minSeries(r *experiments.Result, name string) float64 {
 	min := 1e18
 	for _, p := range r.Recorder.Series(name).Points() {
 		if p.T >= 1200 && p.V < min {

@@ -42,8 +42,8 @@
 // Clients may negotiate the compact binary codec per request with
 // "Content-Type: application/x-slaplace-binary" (request body) and
 // "Accept: application/x-slaplace-binary" (response); JSON remains the
-// default. See the api package for the wire schema and examples/serve
-// for a complete client walkthrough.
+// default. See the api package for the wire schema; e2e_test.go drives
+// a built daemon through a crash and restart.
 package main
 
 import (

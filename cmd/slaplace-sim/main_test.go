@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"slaplace/internal/forecast"
@@ -51,5 +53,28 @@ func TestSessionSpec(t *testing.T) {
 	}
 	if _, err := sessionSpec("utility", 1, 0.6, "arima", "quick").ForecastConfig(); err == nil {
 		t.Error("unknown predictor accepted")
+	}
+}
+
+// TestHorizonFlag: -horizon overrides the scenario's horizon, and any
+// value that is not finite and positive is rejected with exit status 2
+// before a simulation starts (+Inf would otherwise never return). The
+// quick scenario runs 24 cycles over its own horizon, 12 over 3600 s.
+func TestHorizonFlag(t *testing.T) {
+	for _, h := range []string{"Inf", "+Inf", "-Inf", "NaN", "-5"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-horizon", h}, &stdout, &stderr); code != 2 {
+			t.Errorf("-horizon %s: exit %d, want 2", h, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "horizon") {
+			t.Errorf("-horizon %s: stdout %q, stderr %q", h, stdout.String(), stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-horizon", "3600"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-horizon 3600: exit %d: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "scenario quick under utility-placement: 12 cycles") {
+		t.Errorf("-horizon 3600 did not shorten the run: %s", stdout.String())
 	}
 }

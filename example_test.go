@@ -3,13 +3,13 @@ package slaplace_test
 import (
 	"fmt"
 
-	"slaplace"
+	"slaplace/internal/experiments"
 )
 
 // Example runs the smallest end-to-end scenario and prints its job
 // outcome. Everything is deterministic for a fixed seed.
 func Example() {
-	result, err := slaplace.Run(slaplace.QuickScenario(42))
+	result, err := experiments.Run(experiments.QuickScenario(42))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -18,68 +18,4 @@ func Example() {
 	fmt.Printf("completed=%d violations=%d\n", stats.Completed, stats.GoalViolations)
 	// Output:
 	// completed=20 violations=0
-}
-
-// ExampleRun_customScenario builds a scenario from scratch: two nodes,
-// one web application with a 2-second SLA, and a burst of three batch
-// jobs.
-func ExampleRun_customScenario() {
-	model, err := slaplace.NewMG1PS(1350, 4500) // 0.3 s/request on one core
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	sc := slaplace.Scenario{
-		Name: "example", Seed: 1, Horizon: 4000,
-		Nodes: 2, NodeCPU: 18000, NodeMem: 16 * slaplace.GB,
-		Costs:      slaplace.DefaultVMCosts(),
-		Controller: slaplace.NewController(slaplace.DefaultControllerConfig()),
-		Loop: slaplace.LoopOptions{
-			CyclePeriod: 300, FirstCycle: 30, ActuationDelay: 25,
-		},
-		Jobs: []slaplace.JobStream{{
-			Class: slaplace.JobClass{
-				Name: "crunch", Work: slaplace.Work(4500 * 600),
-				MaxSpeed: 4500, Mem: 5 * slaplace.GB, GoalStretch: 3,
-			},
-			Phases:       []slaplace.ArrivalPhase{{Start: 0, MeanInterarrival: 1e9}},
-			InitialBurst: 3, MaxJobs: 3, IDPrefix: "crunch",
-		}},
-		Apps: []slaplace.WebApp{{
-			ID: "shop", RTGoal: 2.0, Model: model,
-			Pattern:     slaplace.ConstantLoad{Rate: 5},
-			InstanceMem: 1 * slaplace.GB, MaxPerInstance: 18000, MinInstances: 1,
-		}},
-	}
-	result, err := slaplace.Run(sc)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("jobs completed: %d\n", result.JobStats.Completed)
-	// Output:
-	// jobs completed: 3
-}
-
-// ExampleController_baselines swaps the placement policy on an
-// otherwise identical scenario.
-func ExampleController_baselines() {
-	for _, ctrl := range []slaplace.Controller{
-		slaplace.NewController(slaplace.DefaultControllerConfig()),
-		slaplace.FCFS,
-		slaplace.StaticPartition(0.5),
-	} {
-		sc := slaplace.QuickScenario(42)
-		sc.Controller = ctrl
-		result, err := slaplace.Run(sc)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("%s: %d completed\n", ctrl.Name(), result.JobStats.Completed)
-	}
-	// Output:
-	// utility-placement: 20 completed
-	// fcfs: 20 completed
-	// static[batch=50%]: 20 completed
 }

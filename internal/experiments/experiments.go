@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"slaplace/internal/chaos"
 	"slaplace/internal/cluster"
@@ -102,8 +103,8 @@ func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("experiments: scenario with empty name")
 	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("experiments: non-positive horizon %v", s.Horizon)
+	if !(s.Horizon > 0) || math.IsInf(s.Horizon, 1) {
+		return fmt.Errorf("experiments: horizon %v is not finite and positive", s.Horizon)
 	}
 	if len(s.NodeSpecs) == 0 {
 		if s.Nodes <= 0 || s.NodeCPU <= 0 || s.NodeMem <= 0 {

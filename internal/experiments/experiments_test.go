@@ -29,6 +29,10 @@ func TestScenarioValidation(t *testing.T) {
 	mutations := []func(*Scenario){
 		func(s *Scenario) { s.Name = "" },
 		func(s *Scenario) { s.Horizon = 0 },
+		func(s *Scenario) { s.Horizon = -5 },
+		func(s *Scenario) { s.Horizon = math.NaN() },
+		func(s *Scenario) { s.Horizon = math.Inf(1) },
+		func(s *Scenario) { s.Horizon = math.Inf(-1) },
 		func(s *Scenario) { s.Nodes = 0 },
 		func(s *Scenario) { s.NodeCPU = 0 },
 		func(s *Scenario) { s.NodeMem = 0 },

@@ -1,69 +1,81 @@
+// The module root holds no library code: the cmd/ binaries call the
+// internal packages directly. These tests drive those packages end to
+// end the way the binaries do, beside the root benchmarks.
 package slaplace_test
 
 import (
 	"strings"
 	"testing"
 
-	"slaplace"
 	"slaplace/api"
+	"slaplace/internal/baseline"
+	"slaplace/internal/control"
+	"slaplace/internal/core"
+	"slaplace/internal/experiments"
+	"slaplace/internal/metrics"
+	"slaplace/internal/queueing"
+	"slaplace/internal/res"
+	"slaplace/internal/vm"
+	"slaplace/internal/workload/batch"
+	"slaplace/internal/workload/trans"
 )
 
 func TestFacadeQuickRun(t *testing.T) {
-	r, err := slaplace.Run(slaplace.QuickScenario(11))
+	r, err := experiments.Run(experiments.QuickScenario(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.JobStats.Completed == 0 {
-		t.Error("no jobs completed through the facade")
+		t.Error("no jobs completed")
 	}
-	if s := slaplace.Summarize(r); s == "" {
+	if s := experiments.SummarizeResult(r); s == "" {
 		t.Error("empty summary")
 	}
 }
 
 func TestFacadeCustomScenario(t *testing.T) {
-	model, err := slaplace.NewMG1PS(1350, 4500)
+	model, err := queueing.NewMG1PS(1350, 4500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := slaplace.Scenario{
+	sc := experiments.Scenario{
 		Name:       "facade-custom",
 		Seed:       1,
 		Horizon:    4000,
 		Nodes:      2,
 		NodeCPU:    18000,
-		NodeMem:    16 * slaplace.GB,
-		Costs:      slaplace.DefaultVMCosts(),
-		Controller: slaplace.NewController(slaplace.DefaultControllerConfig()),
-		Loop: slaplace.LoopOptions{
+		NodeMem:    16 * res.GB,
+		Costs:      vm.DefaultCosts(),
+		Controller: core.New(core.DefaultConfig()),
+		Loop: control.Options{
 			CyclePeriod:    300,
 			FirstCycle:     30,
 			ActuationDelay: 25,
 		},
-		Jobs: []slaplace.JobStream{{
-			Class: slaplace.JobClass{
+		Jobs: []experiments.JobStream{{
+			Class: batch.Class{
 				Name:        "crunch",
-				Work:        slaplace.Work(4500 * 600),
+				Work:        res.Work(4500 * 600),
 				MaxSpeed:    4500,
-				Mem:         4 * slaplace.GB,
+				Mem:         4 * res.GB,
 				GoalStretch: 3,
 			},
 			InitialBurst: 2,
 			MaxJobs:      4,
-			Phases:       []slaplace.ArrivalPhase{{Start: 0, MeanInterarrival: 600}},
+			Phases:       []batch.Phase{{Start: 0, MeanInterarrival: 600}},
 			IDPrefix:     "crunch",
 		}},
-		Apps: []slaplace.WebApp{{
+		Apps: []trans.Config{{
 			ID:             "shop",
 			RTGoal:         2.0,
 			Model:          model,
-			Pattern:        slaplace.ConstantLoad{Rate: 5},
-			InstanceMem:    1 * slaplace.GB,
+			Pattern:        trans.Constant{Rate: 5},
+			InstanceMem:    1 * res.GB,
 			MaxPerInstance: 18000,
 			MinInstances:   1,
 		}},
 	}
-	r, err := slaplace.Run(sc)
+	r, err := experiments.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +89,8 @@ func TestFacadeCustomScenario(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	for _, ctrl := range []slaplace.Controller{
-		slaplace.FCFS, slaplace.EDF, slaplace.FairShare, slaplace.StaticPartition(0.5),
+	for _, ctrl := range []core.Controller{
+		baseline.FCFS{}, baseline.EDF{}, baseline.FairShare{}, baseline.Static{BatchFraction: 0.5},
 	} {
 		if ctrl.Name() == "" {
 			t.Errorf("%T: empty name", ctrl)
@@ -86,9 +98,9 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 }
 
-// TestFacadeSession: the session-based control API surfaced through
-// the facade — Propose against a wire snapshot, plan-mode constants,
-// and the re-exported plan-reuse series recorded by simulated runs.
+// TestFacadeSession: the session-based control API — Propose against a
+// wire snapshot, plan-mode constants, and the plan-reuse series
+// recorded by simulated runs.
 func TestFacadeSession(t *testing.T) {
 	snap := &api.Snapshot{
 		SchemaVersion: api.SchemaVersion,
@@ -103,7 +115,10 @@ func TestFacadeSession(t *testing.T) {
 			GoalSec: 3000, SubmittedSec: 0,
 		}},
 	}
-	sess := slaplace.NewSession(slaplace.DefaultControllerConfig())
+	sess, err := control.NewSession(core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan, stats, err := sess.Propose(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +126,11 @@ func TestFacadeSession(t *testing.T) {
 	if len(plan.Actions) == 0 {
 		t.Error("session planned no actions for a placeable job")
 	}
-	if stats.LastMode != slaplace.PlanFull && stats.LastMode != slaplace.PlanIncremental {
+	if stats.LastMode != core.PlanFull && stats.LastMode != core.PlanIncremental {
 		t.Errorf("first plan mode %v", stats.LastMode)
 	}
 	// The same snapshot replays from cache.
-	if _, stats, err = sess.Propose(snap); err != nil || stats.LastMode != slaplace.PlanReplayed {
+	if _, stats, err = sess.Propose(snap); err != nil || stats.LastMode != core.PlanReplayed {
 		t.Errorf("replay: mode %v err %v", stats.LastMode, err)
 	}
 	if d := plan.Diff(plan); len(d) != 0 {
@@ -123,22 +138,22 @@ func TestFacadeSession(t *testing.T) {
 	}
 
 	// Baseline controllers host sessions too.
-	if _, err := slaplace.NewSessionFor(slaplace.FCFS); err != nil {
-		t.Errorf("NewSessionFor(FCFS): %v", err)
+	if _, err := control.NewSession(baseline.FCFS{}); err != nil {
+		t.Errorf("NewSession(FCFS): %v", err)
 	}
 
-	// Simulated runs record the re-exported plan-reuse series and
+	// Simulated runs record the plan-reuse series and
 	// report cumulative PlanStats.
-	r, err := slaplace.Run(slaplace.QuickScenario(7))
+	r, err := experiments.Run(experiments.QuickScenario(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{slaplace.SeriesPlanMode, slaplace.SeriesDemandDelta} {
+	for _, name := range []string{control.SeriesPlanMode, control.SeriesDemandDelta} {
 		if !r.Recorder.Has(name) {
 			t.Errorf("series %q not recorded", name)
 		}
 	}
-	var total slaplace.PlanStats
+	var total core.PlanStats
 	total = r.PlanStats
 	if total.Full+total.Incremental+total.Replayed != r.Cycles {
 		t.Errorf("plan stats %+v do not sum to %d cycles", total, r.Cycles)
@@ -146,16 +161,16 @@ func TestFacadeSession(t *testing.T) {
 }
 
 func TestFacadeASCIIRender(t *testing.T) {
-	r, err := slaplace.Run(slaplace.QuickScenario(2))
+	r, err := experiments.Run(experiments.QuickScenario(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	series := []*slaplace.Series{
+	series := []*metrics.Series{
 		r.Recorder.Series("trans/web/utility"),
 		r.Recorder.Series("jobs/hypoUtility"),
 	}
-	if err := slaplace.RenderASCII(&sb, "utilities", series, 60, 12); err != nil {
+	if err := metrics.RenderASCII(&sb, "utilities", series, 60, 12); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "utilities") {
