@@ -35,6 +35,11 @@ type planScratch struct {
 	wfActive []int
 	wfNext   []int
 	webIDs   []trans.AppID
+
+	// Rebalance scratch: the migration candidates and the per-node
+	// headroom, indexed by Ledger.pos.
+	rebCands []*PlannedJob
+	heads    []res.CPU
 }
 
 // planArena owns the per-cycle planning books so consecutive control
@@ -140,8 +145,7 @@ func nodeInfosEqual(a, b []NodeInfo) bool {
 // reset clears the per-pass ledger state so the book set can host a new
 // planning pass over the same nodes.
 func (ls *Ledgers) reset() {
-	for _, id := range ls.order {
-		l := ls.byNode[id]
+	for _, l := range ls.list {
 		l.MemUsed = 0
 		l.WebShare = 0
 		l.JobCount = 0

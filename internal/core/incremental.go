@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 
 	"slaplace/internal/cluster"
 	"slaplace/internal/res"
@@ -415,7 +415,7 @@ func (c *PlacementController) orderedPlanned(ctx *planContext) []*PlannedJob {
 		}
 	}
 	ctx.order = append(ctx.order[:0], ctx.planned...)
-	sort.SliceStable(ctx.order, func(i, j int) bool { return jobLess(ctx.order[i], ctx.order[j]) })
+	slices.SortFunc(ctx.order, jobCmp)
 	return ctx.order
 }
 

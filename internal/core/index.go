@@ -66,8 +66,7 @@ func (ix *jobPickIndex) build(ls *Ledgers) {
 		ix.buckets[b] = ix.buckets[b][:0]
 	}
 	maxb := -1
-	for _, id := range ls.order {
-		l := ls.byNode[id]
+	for _, l := range ls.list {
 		b := len(l.Jobs)
 		for len(ix.buckets) <= b {
 			ix.buckets = append(ix.buckets, nil)
@@ -94,8 +93,8 @@ func (ix *jobPickIndex) build(ls *Ledgers) {
 
 // detach unhooks the index from every ledger.
 func (ix *jobPickIndex) detach(ls *Ledgers) {
-	for _, id := range ls.order {
-		ls.byNode[id].index = nil
+	for _, l := range ls.list {
+		l.index = nil
 	}
 }
 
@@ -236,8 +235,7 @@ var _ ledgerIndex = (*webPickIndex)(nil)
 // when the phase is done.
 func (ix *webPickIndex) build(ls *Ledgers) {
 	ix.h = ix.h[:0]
-	for _, id := range ls.order {
-		l := ls.byNode[id]
+	for _, l := range ls.list {
 		l.heapPos = int32(len(ix.h))
 		ix.h = append(ix.h, l)
 		l.index = ix
@@ -249,8 +247,8 @@ func (ix *webPickIndex) build(ls *Ledgers) {
 
 // detach unhooks the index from every ledger.
 func (ix *webPickIndex) detach(ls *Ledgers) {
-	for _, id := range ls.order {
-		ls.byNode[id].index = nil
+	for _, l := range ls.list {
+		l.index = nil
 	}
 }
 

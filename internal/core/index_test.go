@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -324,6 +325,29 @@ func TestEvictVictimWalkOrder(t *testing.T) {
 	})
 }
 
+// pickNodeScan is the reference node selection: feasible memory,
+// fewest planned jobs (count balance), then most free memory, then
+// node order. Returns "" when nothing fits. The placement phase uses
+// the equivalent jobPickIndex; the scan is the oracle the index
+// equivalence tests compare against.
+func pickNodeScan(pj *PlannedJob, ledgers *Ledgers, nodeOrder []cluster.NodeID) cluster.NodeID {
+	var best cluster.NodeID
+	bestJobs := math.MaxInt
+	var bestFree res.Memory = -1
+	for _, n := range nodeOrder {
+		l, _ := ledgers.Get(n)
+		if l.FreeMem() < pj.Info.Mem {
+			continue
+		}
+		nj := len(l.Jobs)
+		free := l.FreeMem()
+		if nj < bestJobs || (nj == bestJobs && free > bestFree) {
+			best, bestJobs, bestFree = n, nj, free
+		}
+	}
+	return best
+}
+
 // refJobPlacement is the pre-index job-placement phase, kept verbatim
 // as the reference the indexed phase is differenced against: linear
 // pickNodeScan per job and the full priority-tail walk per eviction.
@@ -432,5 +456,169 @@ func TestPhaseJobPlacementMatchesScanReference(t *testing.T) {
 					wl.MemUsed, wl.JobCount, len(wl.Jobs))
 			}
 		})
+	}
+}
+
+// refRebalance is the scan-per-candidate rebalance phase, kept
+// verbatim as the reference the headroom-cached phase is differenced
+// against: every candidate scans every node through the ID map and
+// re-sums each node's job shares.
+func refRebalance(c *PlacementController, ctx *planContext) {
+	if c.cfg.MaxMigrationsPerCycle <= 0 {
+		return
+	}
+	ledgers, nodeOrder := ctx.ledgers, ctx.ledgers.Order()
+	migrations := 0
+	cands := make([]*PlannedJob, 0, len(ctx.planned))
+	for _, pj := range ctx.planned {
+		if pj.Info.State != batch.Running || pj.Suspend || pj.Waiting || pj.PlacedNew || pj.Info.Migrating {
+			continue
+		}
+		want := res.Min(pj.Target, pj.Info.MaxSpeed)
+		if want <= 0 {
+			continue
+		}
+		if pj.Share < res.CPU(c.cfg.MigrationThreshold)*want {
+			cands = append(cands, pj)
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		ri := float64(cands[i].Share) / float64(res.Min(cands[i].Target, cands[i].Info.MaxSpeed))
+		rj := float64(cands[j].Share) / float64(res.Min(cands[j].Target, cands[j].Info.MaxSpeed))
+		if ri != rj {
+			return ri < rj
+		}
+		return cands[i].Info.ID < cands[j].Info.ID
+	})
+	for _, pj := range cands {
+		if migrations >= c.cfg.MaxMigrationsPerCycle {
+			break
+		}
+		var best cluster.NodeID
+		var bestShare res.CPU
+		for _, n := range nodeOrder {
+			if n == pj.Node {
+				continue
+			}
+			l, _ := ledgers.Get(n)
+			if l.FreeMem() < pj.Info.Mem {
+				continue
+			}
+			avail := l.FreeCPU()
+			var jobsShare res.CPU
+			for _, other := range l.Jobs {
+				jobsShare += other.Share
+			}
+			projected := res.Min(avail-jobsShare, pj.Info.MaxSpeed)
+			if projected > bestShare {
+				best, bestShare = n, projected
+			}
+		}
+		if best == "" || float64(bestShare) < c.cfg.MigrationGain*float64(pj.Share) {
+			continue
+		}
+		src, _ := ledgers.Get(pj.Node)
+		src.RemoveJob(pj)
+		dst, _ := ledgers.Get(best)
+		dst.AddJob(pj)
+		pj.Migrate = true
+		pj.Node = best
+		pj.Share = bestShare
+		migrations++
+	}
+}
+
+// starvingState builds a cluster of at least 50 nodes where hot nodes
+// each host one web instance that reserves most of the node's CPU
+// next to several running jobs, which therefore starve; the other nodes
+// carry a random mix of running jobs of assorted memory sizes (some
+// full, some idle) and a pending backlog competes for the rest.
+func starvingState(t *testing.T, rng *rand.Rand, hot int) *State {
+	n := 50 + rng.Intn(31)
+	st := &State{Now: 5000, Nodes: idxNodes(n)}
+	mems := []res.Memory{1000, 2500, 5000, 8000}
+	id := 0
+	addJob := func(state batch.State, node cluster.NodeID, share res.CPU) {
+		j := jobMem(fmt.Sprintf("j%04d", id), state, node, mems[rng.Intn(len(mems))],
+			res.Work(4500*float64(2000+rng.Intn(20000))),
+			st.Now+float64(5000+rng.Intn(40000)), float64(rng.Intn(5000)))
+		j.Share = share
+		// Speed caps from one to three gains above a starved share put
+		// the skip bound right at the gain test.
+		j.MaxSpeed = res.CPU(1500 + rng.Intn(3001))
+		st.Jobs = append(st.Jobs, j)
+		id++
+	}
+	for _, h := range rng.Perm(n)[:hot] {
+		node := st.Nodes[h].ID
+		app := webApp(t, fmt.Sprintf("web%03d", h), 9+2*rng.Float64(), map[cluster.NodeID]res.CPU{node: 15000})
+		// A per-instance cap below the node leaves the jobs beside it a
+		// sliver of CPU, so they starve at positive shares.
+		app.MinInstances, app.MaxInstances = 1, 1
+		app.MaxPerInstance = res.CPU(14000 + rng.Intn(3000))
+		st.Apps = append(st.Apps, app)
+		for k := 2 + rng.Intn(3); k > 0; k-- {
+			addJob(batch.Running, node, 1000)
+		}
+	}
+	for _, nd := range st.Nodes {
+		for k := rng.Intn(4); k > 0; k-- {
+			addJob(batch.Running, nd.ID, res.CPU(1+rng.Intn(4500)))
+		}
+	}
+	for k := rng.Intn(n); k > 0; k-- {
+		addJob(batch.Pending, "", 0)
+	}
+	return st
+}
+
+// TestPhaseRebalanceMatchesScanReference runs the whole pipeline twice
+// per state, once with the rebalance phase and once with the scan
+// reference in its place, and requires equal plan digests; the
+// controller's arena-backed Plan must agree too. Hot-node rows must
+// migrate, and the uncapped rows more than once per plan, so the
+// headroom refresh after a migration is exercised.
+func TestPhaseRebalanceMatchesScanReference(t *testing.T) {
+	for _, maxMig := range []int{1, 5, 50} {
+		for _, hot := range []int{0, 3, 12} {
+			rng := rand.New(rand.NewSource(int64(100*maxMig + hot)))
+			migrated, most := 0, 0
+			for trial := 0; trial < 8; trial++ {
+				st := starvingState(t, rng, hot)
+				cfg := DefaultConfig()
+				cfg.MaxMigrationsPerCycle = maxMig
+				c := New(cfg)
+				run := func(rebalance func(*PlacementController, *planContext)) *Plan {
+					ctx := newPlanContext(st)
+					for _, ph := range c.Pipeline() {
+						if ph.Name == "rebalance" {
+							rebalance(c, ctx)
+						} else {
+							ph.Run(ctx)
+						}
+					}
+					return ctx.plan
+				}
+				want := run(refRebalance)
+				got := run((*PlacementController).phaseRebalance)
+				if g, w := got.Digest(), want.Digest(); g != w {
+					t.Fatalf("cap %d hot %d trial %d: digest %s, reference %s\ngot  %v\nwant %v",
+						maxMig, hot, trial, g, w, got.Actions, want.Actions)
+				}
+				if g, w := c.Plan(st).Digest(), want.Digest(); g != w {
+					t.Fatalf("cap %d hot %d trial %d: Plan digest %s, reference %s", maxMig, hot, trial, g, w)
+				}
+				_, _, _, migs, _, _, _, _ := want.CountActions()
+				migrated += migs
+				most = max(most, migs)
+			}
+			switch {
+			case hot > 0 && migrated == 0:
+				t.Errorf("cap %d hot %d: no migration in any trial", maxMig, hot)
+			case hot > 0 && maxMig > 1 && most < 2:
+				t.Errorf("cap %d hot %d: at most %d migration per plan, want a plan with several", maxMig, hot, most)
+			}
+			t.Logf("cap %d hot %d: %d migrations, at most %d per plan", maxMig, hot, migrated, most)
+		}
 	}
 }

@@ -1,44 +1,71 @@
 package core
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 
 	"slaplace/internal/cluster"
-	"slaplace/internal/res"
 	"slaplace/internal/workload/batch"
 )
 
-// jobLess orders jobs for placement: least laxity (most urgent) first;
-// running jobs win ties (placement inertia); then submission order.
-// It reads the laxity the targets phase cached on each record (laxity
-// is a pure function of the snapshot, so caching it once per cycle is
-// exact while sparing every comparison two float divisions).
-func jobLess(a, b *PlannedJob) bool {
-	if a.lax != b.lax {
-		return a.lax < b.lax
+// jobCmp orders jobs for placement: least laxity (most urgent) first;
+// running jobs win ties (placement inertia); then submission order,
+// job ID, and finally the record's snapshot position idx. It reads the
+// laxity the targets phase cached on each record (laxity is a pure
+// function of the snapshot, so caching it once per cycle is exact while
+// sparing every comparison two float divisions).
+//
+// The idx tie-break makes the order total, so an unstable sort returns
+// exactly what a stable sort of the idx-ordered planned list would.
+// The float keys compare with < and >, so a NaN laxity or submission
+// time (unreachable through the api and the simulator, which reject
+// non-finite goals and times and zero speed caps) falls through to the
+// remaining keys.
+func jobCmp(a, b *PlannedJob) int {
+	if c := floatCmp(a.lax, b.lax); c != 0 {
+		return c
 	}
-	ra, rb := a.Info.State == batch.Running, b.Info.State == batch.Running
-	if ra != rb {
-		return ra
+	if ra, rb := a.Info.State == batch.Running, b.Info.State == batch.Running; ra != rb {
+		if ra {
+			return -1
+		}
+		return 1
 	}
-	if a.Info.Submitted != b.Info.Submitted {
-		return a.Info.Submitted < b.Info.Submitted
+	if c := floatCmp(a.Info.Submitted, b.Info.Submitted); c != 0 {
+		return c
 	}
-	return a.Info.ID < b.Info.ID
+	if c := cmp.Compare(a.Info.ID, b.Info.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
+
+// floatCmp is -1 when a < b, 1 when a > b, and 0 otherwise (equal, or
+// either is NaN).
+func floatCmp(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// jobLess reports whether a precedes b in the placement order.
+func jobLess(a, b *PlannedJob) bool { return jobCmp(a, b) < 0 }
 
 // phaseJobPlacement fixes the run-set: which jobs run where, who gets
 // suspended, who waits. Node selection goes through the jobPickIndex
 // (index.go) — O(log nodes) per decision instead of a full ledger scan
 // — and eviction probing through a maintained list of evictable
 // positions; both are byte-identical to the reference scans
-// (pickNodeScan, and the tail walk the eviction tests pin).
+// (pickNodeScan and the tail walk in index_test.go).
 func (c *PlacementController) phaseJobPlacement(ctx *planContext) {
 	ledgers := ctx.ledgers
 	ctx.order = append(ctx.order[:0], ctx.planned...)
 	order := ctx.order
-	sort.SliceStable(order, func(i, j int) bool { return jobLess(order[i], order[j]) })
+	slices.SortFunc(order, jobCmp)
 
 	sc := ctx.ensureScratch()
 	pick := &sc.pickIdx
@@ -109,29 +136,6 @@ func (c *PlacementController) phaseJobPlacement(ctx *planContext) {
 			pj.PlacedNew = true
 		}
 	}
-}
-
-// pickNodeScan is the reference node selection: feasible memory,
-// fewest planned jobs (count balance), then most free memory, then
-// node order. Returns "" when nothing fits. The placement phase uses
-// the equivalent jobPickIndex instead; the scan stays as the oracle
-// the index equivalence tests compare against.
-func pickNodeScan(pj *PlannedJob, ledgers *Ledgers, nodeOrder []cluster.NodeID) cluster.NodeID {
-	var best cluster.NodeID
-	bestJobs := math.MaxInt
-	var bestFree res.Memory = -1
-	for _, n := range nodeOrder {
-		l, _ := ledgers.Get(n)
-		if l.FreeMem() < pj.Info.Mem {
-			continue
-		}
-		nj := len(l.Jobs)
-		free := l.FreeMem()
-		if nj < bestJobs || (nj == bestJobs && free > bestFree) {
-			best, bestJobs, bestFree = n, nj, free
-		}
-	}
-	return best
 }
 
 // evictVictim suspends the least urgent not-yet-confirmed running job

@@ -135,10 +135,13 @@ func (l *Ledger) BookMem(m res.Memory) {
 
 // Ledgers is the book set for one planning pass: one Ledger per node,
 // plus the deterministic iteration order every phase must use (map
-// iteration order would break plan determinism).
+// iteration order would break plan determinism). list holds the
+// ledgers in that order, so scans walk a slice instead of hashing
+// every node ID.
 type Ledgers struct {
 	byNode map[cluster.NodeID]*Ledger
 	order  []cluster.NodeID
+	list   []*Ledger
 }
 
 // NewLedgers opens empty books over the given nodes (a subset of the
@@ -147,10 +150,13 @@ func NewLedgers(nodes []NodeInfo) *Ledgers {
 	ls := &Ledgers{
 		byNode: make(map[cluster.NodeID]*Ledger, len(nodes)),
 		order:  make([]cluster.NodeID, 0, len(nodes)),
+		list:   make([]*Ledger, 0, len(nodes)),
 	}
 	for i, n := range nodes {
-		ls.byNode[n.ID] = &Ledger{Info: n, WebApps: make(map[trans.AppID]res.CPU), pos: int32(i)}
+		l := &Ledger{Info: n, WebApps: make(map[trans.AppID]res.CPU), pos: int32(i)}
+		ls.byNode[n.ID] = l
 		ls.order = append(ls.order, n.ID)
+		ls.list = append(ls.list, l)
 	}
 	return ls
 }
@@ -167,8 +173,8 @@ func (ls *Ledgers) Order() []cluster.NodeID { return ls.order }
 
 // Each calls f for every ledger in deterministic order.
 func (ls *Ledgers) Each(f func(*Ledger)) {
-	for _, id := range ls.order {
-		f(ls.byNode[id])
+	for _, l := range ls.list {
+		f(l)
 	}
 }
 

@@ -68,8 +68,46 @@ func Equalize(curves []Curve, capacity res.CPU) Result {
 // until the next EqualizeWith call on the same scratch; a nil scratch
 // degenerates to the allocating Equalize. The two entry points are
 // bit-identical: the scratch changes where intermediates live, never
-// what arithmetic runs.
+// what arithmetic runs. The utility level is found by
+// numeric.BisectReplay, which lands on plain bisection's exact level
+// with a fraction of the demand sweeps.
 func EqualizeWith(sc *EqualizeScratch, curves []Curve, capacity res.CPU) Result {
+	return equalize(sc, curves, capacity, numeric.BisectReplay)
+}
+
+// bisector is the utility search equalize runs on the demand sweep:
+// numeric.BisectReplay, or in tests the BisectMonotone it must match.
+type bisector func(g func(float64) float64, target, lo, hi, tol, slack float64) float64
+
+// demandStepDown bounds how far c.DemandFor may step down, in floating
+// point, between two utility levels u1 < u2: DemandFor(u1) exceeds
+// DemandFor(u2) by at most this much. In exact arithmetic every curve
+// is non-decreasing; rounding (an M/G/1 inversion's last division, a
+// Function.Invert breakpoint) can cost a few ulps, and the M/M/c
+// model's numeric inversion its 1e-6 MHz bisection tolerance. The
+// bound is orders of magnitude above both (monotone_test.go measures
+// them); it only widens the equalizer's replay slack. The sweep's
+// switch to MaxUseful near MaxUtility never steps down, since DemandFor
+// never exceeds MaxUseful.
+func demandStepDown(c Curve) float64 {
+	d := 1e-12 * float64(c.MaxUseful())
+	if _, ok := c.(*JobCurve); !ok {
+		d += 1e-6
+	}
+	return d
+}
+
+// sweepSlack is the slack the demand sweep's replay needs (see
+// numeric.BisectReplay): twice the most the fixed-order sum of n
+// demands can step down. That is the terms' own step-downs plus one
+// ulp of the largest partial sum, at most maxUseful, per addition.
+func sweepSlack(n int, maxUseful res.CPU, stepDown float64) float64 {
+	m := float64(maxUseful)
+	return 2 * (stepDown + float64(n)*(math.Nextafter(m, math.Inf(1))-m))
+}
+
+// equalize is EqualizeWith with the utility search as a parameter.
+func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bisector) Result {
 	if capacity < 0 {
 		panic(fmt.Sprintf("utility: negative capacity %v", capacity))
 	}
@@ -119,10 +157,12 @@ func EqualizeWith(sc *EqualizeScratch, curves []Curve, capacity res.CPU) Result 
 		uLo := math.Inf(1)
 		uHi := math.Inf(-1)
 		var maxUsefulSum res.CPU
+		var stepDown float64
 		for _, i := range active {
 			uLo = math.Min(uLo, curves[i].UtilityAt(0))
 			uHi = math.Max(uHi, curves[i].MaxUtility())
 			maxUsefulSum += curves[i].MaxUseful()
+			stepDown += demandStepDown(curves[i])
 		}
 		if maxUsefulSum <= remaining {
 			// Everyone can saturate; hand out max useful and stop.
@@ -140,7 +180,7 @@ func EqualizeWith(sc *EqualizeScratch, curves []Curve, capacity res.CPU) Result 
 			}
 			return float64(sum)
 		}
-		uStar := numeric.BisectMonotone(g, float64(remaining), uLo, uHi, equalizeTol)
+		uStar := bisect(g, float64(remaining), uLo, uHi, equalizeTol, sweepSlack(len(active), maxUsefulSum, stepDown))
 
 		// Saturated curves cannot reach uStar no matter what; give them
 		// their cap and redistribute what is left to the rest.
