@@ -9,8 +9,7 @@ import (
 // minimal state a daemon needs to rebuild the session's controller —
 // incremental tiers included — on another process or after a crash.
 //
-// The controller's in-memory machinery (arena, node indexes, reuse
-// tiers) is deliberately NOT serialized: every controller is a
+// The controller's in-memory machinery (node ledgers, reuse tiers) is deliberately NOT serialized: every controller is a
 // deterministic function of the snapshot sequence it has planned, so
 // replaying the last applied snapshot through a fresh controller
 // reproduces both the last plan and the warm incremental state,

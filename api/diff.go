@@ -42,6 +42,9 @@ func (p *Plan) Diff(prev *Plan) []Action {
 	}
 
 	var frees, places, shares []Action
+	// Per-app instance indexes, recycled across apps.
+	prevByNode := map[string]float64{}
+	nowByNode := map[string]bool{}
 	next := 0 // merge walk: first previous job not yet passed
 	for i := range p.Placement.Jobs {
 		job := &p.Placement.Jobs[i]
@@ -76,11 +79,11 @@ func (p *Plan) Diff(prev *Plan) []Action {
 		if was := pa[app.ID]; was != nil {
 			wasInst = was.Instances
 		}
-		prevByNode := make(map[string]float64, len(wasInst))
+		clear(prevByNode)
 		for _, in := range wasInst {
 			prevByNode[in.Node] = in.ShareMHz
 		}
-		nowByNode := make(map[string]bool, len(app.Instances))
+		clear(nowByNode)
 		for _, in := range app.Instances {
 			nowByNode[in.Node] = true
 			share, ok := prevByNode[in.Node]
@@ -113,6 +116,9 @@ func (p *Plan) Diff(prev *Plan) []Action {
 		for _, in := range was.Instances {
 			frees = append(frees, Action{Type: ActionRemoveInstance, App: was.ID, Node: in.Node})
 		}
+	}
+	if len(frees)+len(places) == 0 && shares != nil {
+		return shares // the steady state: share retunes only
 	}
 	out := make([]Action, 0, len(frees)+len(places)+len(shares))
 	out = append(out, frees...)

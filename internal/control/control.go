@@ -6,9 +6,10 @@
 // The package is split along the service boundary the HTTP daemon
 // (cmd/slaplace-serve) exposes:
 //
-//   - Session owns a controller across cycles — the arena, indexes and
+//   - Session owns a controller across cycles — the node ledgers and
 //     incremental reuse tiers of the placement controller survive from
-//     one plan to the next — and drives the generic monitor → plan →
+//     one plan to the next; plan scratch is shared by all sessions and
+//     sized by the peak number of plans in flight — and drives the generic monitor → plan →
 //     actuate cycle over any ClusterBackend. Its Propose/ProposeDelta
 //     methods speak the versioned wire schema of package api.
 //   - ClusterBackend abstracts the managed world. SimBackend adapts

@@ -24,8 +24,8 @@ const (
 
 // Session is a long-lived planning conversation with one controller.
 // It owns the controller across calls — for the paper's placement
-// controller that means the allocation arena, the node indexes and the
-// incremental reuse tiers all survive from one Propose (or Cycle) to
+// controller that means the node ledgers and the incremental reuse
+// tiers survive from one Propose (or Cycle) to
 // the next, so steady-state re-plans stay cheap no matter how the
 // snapshots arrive: in process, from the simulator loop, or over the
 // wire through the HTTP daemon.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"slaplace/internal/cluster"
 	"slaplace/internal/res"
 	"slaplace/internal/utility"
@@ -9,9 +11,9 @@ import (
 
 // planScratch is the recycled working storage of the placement phases:
 // the two node indexes (index.go) and the selection scratch buffers.
-// It lives inside the per-controller planArena so index storage is
-// reused across cycles; standalone contexts (newPlanContext) allocate
-// one lazily on first use.
+// It lives inside the plan-scoped planArena, so index storage is reused
+// across plans; standalone contexts (newPlanContext) allocate one
+// lazily on first use.
 type planScratch struct {
 	// pickIdx / webIdx are the job- and web-placement node indexes;
 	// their bucket and heap backing arrays persist across cycles.
@@ -42,18 +44,15 @@ type planScratch struct {
 	heads    []res.CPU
 }
 
-// planArena owns the per-cycle planning books so consecutive control
-// cycles reuse one allocation instead of rebuilding Ledgers and
-// PlannedJob records from scratch every 600 s. The arena is embedded in
-// the PlacementController and recycled under its lock; nothing handed
-// to the caller (the Plan and its actions) ever aliases arena memory.
+// planArena is one plan's scratch: everything sized by the job count or
+// needed only while a pass runs. Plan borrows one from the free list
+// (arenas) and returns it when done, so there are as many arenas as
+// the peak number of plans in flight (client concurrency × shards),
+// however many idle controllers the process holds. Every pass
+// overwrites what it reads, whichever cluster used the arena last, and
+// nothing handed to the caller (the Plan and its actions) aliases it.
 type planArena struct {
 	scratch planScratch
-
-	// ledgers are rebuilt only when the node set changes; nodesSig is
-	// the exact NodeInfo slice they were built for.
-	ledgers  *Ledgers
-	nodesSig []NodeInfo
 
 	// records is the flat PlannedJob backing store; planned holds the
 	// per-pass pointer view phases share.
@@ -68,64 +67,79 @@ type planArena struct {
 	curves    []utility.Curve
 
 	// jobCurveSlab is the flat JobCurve backing store (one curve per
-	// job, rebuilt in place every cycle) and eqScratch the equalizer's
+	// job, rebuilt in place every pass) and eqScratch the equalizer's
 	// recycled working storage — together they remove the two largest
-	// per-cycle allocations from the targets phase.
+	// per-plan allocations from the targets phase.
 	jobCurveSlab []utility.JobCurve
 	eqScratch    utility.EqualizeScratch
 
 	appTarget map[trans.AppID]res.CPU
 }
 
-// grabJobCurves returns n recyclable JobCurve slots. Like grabRecords,
-// recycled slots hold the previous cycle's contents and must be
-// overwritten wholesale (JobCurve.Fill) before use.
-func (a *planArena) grabJobCurves(n int) []utility.JobCurve {
-	if cap(a.jobCurveSlab) < n {
-		a.jobCurveSlab = make([]utility.JobCurve, n)
-	}
-	a.jobCurveSlab = a.jobCurveSlab[:n]
-	return a.jobCurveSlab
+// arenas is the free list of plan arenas: LIFO, so a lone session gets
+// back the same warm arena every plan, and never shrunk (a sync.Pool
+// is drained by the GC between requests and re-grown on the next).
+var arenas struct {
+	mu   sync.Mutex
+	free []*planArena
 }
 
-// context opens a planning pass backed by the arena's recycled books.
-// It is the allocation-free counterpart of newPlanContext.
-func (a *planArena) context(st *State) *planContext {
-	if a.ledgers == nil || !nodeInfosEqual(a.nodesSig, st.Nodes) {
-		a.ledgers = NewLedgers(st.Nodes)
-		a.nodesSig = append(a.nodesSig[:0], st.Nodes...)
-	} else {
-		a.ledgers.reset()
+// acquireArena takes the most recently released arena, or a new one
+// when every arena is in flight.
+func acquireArena() *planArena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	if n := len(arenas.free); n > 0 {
+		a := arenas.free[n-1]
+		arenas.free = arenas.free[:n-1]
+		return a
 	}
-	if a.appTarget == nil {
-		a.appTarget = make(map[trans.AppID]res.CPU)
-	} else {
-		clear(a.appTarget)
+	return &planArena{appTarget: make(map[trans.AppID]res.CPU)}
+}
+
+// release returns the arena to the free list.
+func (a *planArena) release() {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.mu.Unlock()
+}
+
+// grow reslices s to n elements, keeping stale contents. A first
+// allocation is exact; a regrowth leaves a quarter of headroom, so a
+// creeping job count reallocates a slab a logarithmic number of times,
+// not on every new maximum.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		c := n
+		if cap(s) > 0 {
+			c += n / 4
+		}
+		s = make([]T, n, c)
 	}
+	return s[:n]
+}
+
+// context opens a planning pass over the controller's ledgers, backed
+// by the arena's recycled scratch. It is the allocation-free
+// counterpart of newPlanContext. The ledgers are rebuilt only when the
+// node set changes.
+func (c *PlacementController) context(st *State, a *planArena) *planContext {
+	if c.ledgers == nil || !nodeInfosEqual(c.nodesSig, st.Nodes) {
+		c.ledgers = NewLedgers(st.Nodes)
+		c.nodesSig = append(c.nodesSig[:0], st.Nodes...)
+	} else {
+		c.ledgers.reset()
+	}
+	clear(a.appTarget)
 	return &planContext{
 		st:        st,
 		plan:      NewPlan(),
-		ledgers:   a.ledgers,
+		ledgers:   c.ledgers,
 		arena:     a,
 		appTarget: a.appTarget,
 		order:     a.order[:0],
 		scratch:   &a.scratch,
 	}
-}
-
-// grabRecords returns n PlannedJob records plus their pointer view,
-// recycling the arena's backing stores. Recycled records still hold the
-// previous cycle's contents: the caller must overwrite each record
-// wholesale (phaseTargets assigns a full struct literal per index)
-// before any field is read.
-func (a *planArena) grabRecords(n int) ([]PlannedJob, []*PlannedJob) {
-	if cap(a.records) < n {
-		a.records = make([]PlannedJob, n)
-		a.planned = make([]*PlannedJob, n)
-	}
-	a.records = a.records[:n]
-	a.planned = a.planned[:n]
-	return a.records, a.planned
 }
 
 // nodeInfosEqual reports whether two node lists are identical in

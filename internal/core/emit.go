@@ -36,23 +36,23 @@ func (c *PlacementController) phaseEmit(ctx *planContext) {
 
 // emitWebShares emits SetInstanceShare for kept instances whose planned
 // share moved beyond tolerance, and sets shares on newly added ones by
-// rewriting their AddInstance actions.
+// rewriting their AddInstance actions. Planned shares are read off the
+// ledgers (node -> app -> share); an instance whose node or app entry
+// is missing was removed this cycle.
 func (c *PlacementController) emitWebShares(ctx *planContext) {
 	st, plan := ctx.st, ctx.plan
-	// Index planned shares: app -> node -> share.
-	plannedShare := make(map[trans.AppID]map[cluster.NodeID]res.CPU)
-	ctx.ledgers.Each(func(l *Ledger) {
-		for id, s := range l.WebApps {
-			if plannedShare[id] == nil {
-				plannedShare[id] = make(map[cluster.NodeID]res.CPU)
-			}
-			plannedShare[id][l.Info.ID] = s
+	plannedShare := func(app trans.AppID, node cluster.NodeID) (res.CPU, bool) {
+		l, ok := ctx.ledgers.Get(node)
+		if !ok {
+			return 0, false
 		}
-	})
+		s, ok := l.WebApps[app]
+		return s, ok
+	}
 	// Rewrite AddInstance actions with final shares.
 	for i, a := range plan.Actions {
 		if add, ok := a.(AddInstance); ok {
-			add.Share = plannedShare[add.App][add.Node]
+			add.Share, _ = plannedShare(add.App, add.Node)
 			plan.Actions[i] = add
 		}
 	}
@@ -61,7 +61,7 @@ func (c *PlacementController) emitWebShares(ctx *planContext) {
 		app := &st.Apps[ai]
 		nodes := app.InstanceNodes()
 		for _, n := range nodes {
-			target, ok := plannedShare[app.ID][n]
+			target, ok := plannedShare(app.ID, n)
 			if !ok {
 				continue // removed this cycle
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -106,7 +107,7 @@ type planMemo struct {
 	now   float64
 	nodes []NodeInfo
 	jobs  []JobInfo
-	apps  []AppInfo // Instances maps are memo-owned deep copies
+	apps  []AppInfo // Instances maps are memo-owned, refilled per cycle
 	plan  *Plan
 	order []int32 // job priority order as indices into jobs
 }
@@ -122,15 +123,16 @@ func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 	m.now = st.Now
 	m.nodes = append(m.nodes[:0], st.Nodes...)
 	m.jobs = append(m.jobs[:0], st.Jobs...)
-	m.apps = m.apps[:0]
+	m.apps = grow(m.apps, len(st.Apps))
 	for i := range st.Apps {
-		a := st.Apps[i]
-		inst := make(map[cluster.NodeID]res.CPU, len(a.Instances))
-		for n, s := range a.Instances {
-			inst[n] = s
+		inst := m.apps[i].Instances // memo-owned; nil in a new slot
+		if inst == nil {
+			inst = make(map[cluster.NodeID]res.CPU, len(st.Apps[i].Instances))
 		}
-		a.Instances = inst
-		m.apps = append(m.apps, a)
+		clear(inst)
+		maps.Copy(inst, st.Apps[i].Instances)
+		m.apps[i] = st.Apps[i]
+		m.apps[i].Instances = inst
 	}
 	m.plan = clonePlan(ctx.plan)
 	m.order = m.order[:0]

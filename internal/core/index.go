@@ -19,7 +19,7 @@ import "slaplace/internal/res"
 // detached at phase exit. The fast incremental tiers never build one —
 // they make no selection decisions — so steady-state re-plans pay only
 // a nil check per hook. The index backing storage recycles through the
-// per-controller planArena across cycles.
+// plan-scoped planArena across plans.
 
 // ledgerIndex observes occupancy changes on hooked ledgers so a phase's
 // node index stays consistent with the books.

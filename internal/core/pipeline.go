@@ -53,7 +53,7 @@ type planContext struct {
 	// carry-over) used; the controller memoizes it for the next cycle.
 	order []*PlannedJob
 
-	// arena, when non-nil, recycles the books across cycles.
+	// arena, when non-nil, is the scratch this pass borrowed.
 	arena *planArena
 
 	// scratch is the phases' recycled working storage (node indexes and
@@ -134,7 +134,9 @@ func (c *PlacementController) Plan(st *State) *Plan {
 		}
 	}
 
-	ctx := c.arena.context(st)
+	a := acquireArena()
+	defer a.release()
+	ctx := c.context(st, a)
 	c.phaseTargets(ctx)
 	c.stats.LastDemandDelta = c.demandDelta(ctx)
 
@@ -166,7 +168,7 @@ func (c *PlacementController) Plan(st *State) *Plan {
 	if c.cfg.Incremental {
 		c.storeMemo(st, ctx)
 	}
-	c.arena.order = ctx.order
+	a.order = ctx.order
 	return ctx.plan
 }
 
@@ -182,8 +184,8 @@ func (c *PlacementController) PlanStats() PlanStats {
 // carry-over tier is memo-independent (its steadiness proofs read only
 // the snapshot), so a steady snapshot still plans incrementally; to
 // measure true from-scratch cost, build the controller with
-// Config.Incremental=false as the benchmarks do. The recycled
-// allocation arena is kept.
+// Config.Incremental=false as the benchmarks do. The node ledgers are
+// kept.
 func (c *PlacementController) ResetPlanCache() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -213,8 +215,10 @@ func (c *PlacementController) phaseTargets(ctx *planContext) {
 	curves = append(curves, ctx.appCurves...)
 	if a := ctx.arena; a != nil {
 		// Arena-backed pass: rebuild the job curves in the recycled slab
-		// instead of allocating 10^5 fresh curves per cycle.
-		slab := a.grabJobCurves(len(st.Jobs))
+		// instead of allocating 10^5 fresh curves per cycle. Recycled
+		// slots are overwritten wholesale (JobCurve.Fill) before use.
+		a.jobCurveSlab = grow(a.jobCurveSlab, len(st.Jobs))
+		slab := a.jobCurveSlab
 		for i := range st.Jobs {
 			st.Jobs[i].FillCurve(&slab[i], st.Now)
 			curves = append(curves, &slab[i])
@@ -245,9 +249,12 @@ func (c *PlacementController) phaseTargets(ctx *planContext) {
 	}
 
 	// Planning records, with running jobs' residency on the books.
+	// Recycled records hold an earlier pass's contents: each is assigned
+	// a whole struct literal below before any field is read.
 	var records []PlannedJob
 	if a := ctx.arena; a != nil {
-		records, ctx.planned = a.grabRecords(len(st.Jobs))
+		a.records, a.planned = grow(a.records, len(st.Jobs)), grow(a.planned, len(st.Jobs))
+		records, ctx.planned = a.records, a.planned
 	} else {
 		records = make([]PlannedJob, len(st.Jobs))
 		ctx.planned = make([]*PlannedJob, len(st.Jobs))

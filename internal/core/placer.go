@@ -76,15 +76,17 @@ func (c Config) Validate() error {
 // PlacementController is the paper's utility-driven placement
 // controller, implemented as the staged pipeline in pipeline.go with
 // the incremental re-planning tiers of incremental.go. It carries
-// per-cycle state (the allocation arena and the previous-cycle memo),
-// so concurrent Plan calls serialize on an internal lock; parallel
-// scenario runs should each own a controller.
+// per-cycle state (the node ledgers and the previous-cycle memo), so
+// concurrent Plan calls serialize on an internal lock; parallel
+// scenario runs should each own a controller. Plan scratch is not
+// per-controller state: each plan borrows it (arena.go).
 type PlacementController struct {
-	mu    sync.Mutex
-	cfg   Config
-	arena planArena
-	memo  *planMemo
-	stats PlanStats
+	mu       sync.Mutex
+	cfg      Config
+	ledgers  *Ledgers // the books for nodesSig, the node list they were built for
+	nodesSig []NodeInfo
+	memo     *planMemo
+	stats    PlanStats
 }
 
 var _ Controller = (*PlacementController)(nil)

@@ -208,3 +208,60 @@ func TestSteadyRequestAllocationBudget(t *testing.T) {
 		t.Errorf("one steady request makes %d mallocs, budget %d", perMallocs, maxMallocs)
 	}
 }
+
+// TestIdleSessionFootprintBudget pins what an idle session keeps on
+// the heap once it has planned: its snapshot, its last plan, its
+// controller's ledgers and previous-cycle memo — but no plan scratch,
+// which belongs to the plans in flight and is shared by every session.
+// 200 sessions of one 50-node, 300-job cluster (the middle tier of the
+// bench's tenants fleet) each plan once; after a GC the heap they
+// retain, per session, must stay under the budget.
+func TestIdleSessionFootprintBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the daemon's")
+	}
+	const sessions = 200
+	// Measured 230 KB on the change that made plan scratch shared (the
+	// per-session arena before it: 350 KB).
+	const maxPerSession = 280_000
+	handler := New(Options{}).Handler()
+	cluster := newSteadyCluster(50, 300)
+	post := func(id string) {
+		var buf bytes.Buffer
+		req := &api.PlanRequest{ClusterID: id, Snapshot: &cluster.snap}
+		if err := api.EncodePlanRequestBinary(&buf, req); err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/plan", &buf)
+		r.Header.Set("Content-Type", api.ContentTypeBinary)
+		r.Header.Set("Accept", api.ContentTypeBinary)
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("POST /v1/plan %s: %d: %s", id, w.Code, w.Body.String())
+		}
+	}
+	heapInuse := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	// One warm-up session first, so what the process holds once for
+	// all sessions (the plan scratch, lazily built tables) is in the
+	// baseline.
+	post("warm-up")
+	before := heapInuse()
+	for i := 0; i < sessions; i++ {
+		post(fmt.Sprintf("t%03d", i))
+	}
+	after := heapInuse()
+	runtime.KeepAlive(handler)
+	per := int64(after-before) / sessions
+	t.Logf("%d idle sessions retain %.1f KB each (budget %.1f KB)", sessions, float64(per)/1e3, float64(maxPerSession)/1e3)
+	if per > maxPerSession {
+		t.Errorf("an idle session retains %d bytes of heap, budget %d", per, maxPerSession)
+	}
+}

@@ -20,8 +20,10 @@ type Config struct {
 	// NewController builds one per-shard planner. nil means the
 	// paper's placement controller with the default configuration.
 	// Controllers are created once and live across cycles, so a
-	// stateful planner keeps its arena, node indexes and incremental
-	// reuse tiers per shard.
+	// stateful planner keeps its node ledgers and incremental reuse
+	// tiers per shard. Plan scratch is not per shard: K shards planning
+	// at once borrow K arenas from core's free list, whose size is the
+	// peak number of plans in flight.
 	NewController func() core.Controller
 }
 

@@ -7,8 +7,8 @@
 // planner — however incremental — still owns every node, so cold plans
 // and worst-case cycles grow with the whole cluster. A 20 000-node
 // cluster planned as 16 shards costs one shard's planning time on
-// enough cores, and each shard keeps the full arena/index/incremental
-// machinery of core.PlacementController across cycles.
+// enough cores, and each shard keeps the node ledgers and incremental
+// tiers of core.PlacementController across cycles.
 //
 // The decomposition is deterministic (identical snapshot sequences
 // partition identically, so sharded controllers stay deterministic end
@@ -26,7 +26,7 @@
 //     migration moves node blocks between shards — only the touched
 //     shards see a different sub-snapshot and fall back to a cold
 //     plan; untouched shards keep byte-identical inputs and with them
-//     their replay/carry-over tiers and arenas;
+//     their replay/carry-over tiers and ledgers;
 //   - running jobs are pinned to the shard owning their node;
 //   - pending, suspended and stranded jobs are dealt round-robin in
 //     snapshot order (stable while the backlog is stable, so per-shard

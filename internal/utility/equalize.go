@@ -32,10 +32,10 @@ type Result struct {
 const equalizeTol = 1e-9
 
 // EqualizeScratch recycles the equalizer's working storage across
-// calls. One scratch serves one caller at a time; a controller embeds
-// one per arena and reuses it every cycle, cutting the dominant
-// per-plan allocation (the Shares slice is O(workloads), megabytes at
-// 200k jobs).
+// calls. One scratch serves one caller at a time; the placement
+// controller keeps one in each plan arena and reuses it every plan,
+// cutting the dominant per-plan allocation (the Shares slice is
+// O(workloads), megabytes at 200k jobs).
 type EqualizeScratch struct {
 	shares []Share
 	active []int
