@@ -16,6 +16,12 @@
 //     time of an overloaded application) use the Float type, which
 //     round-trips ±Inf and NaN through JSON as quoted strings.
 //
+// Codecs: JSON (the default) and a compact binary form, negotiated per
+// request. Both run on one per-type walk (binary.go), so neither uses
+// reflection on the hot path; the JSON bytes are json.Marshal's, and a
+// JSON document outside the canonical subset the walks read is decoded
+// by encoding/json, with the same result it always had (json.go).
+//
 // The conversion methods (Snapshot.CoreState, FromCorePlan, ...) bridge
 // to the in-process planner types; external consumers need only the
 // wire structs, the codecs, and Plan.Diff.
@@ -24,6 +30,7 @@ package api
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // SchemaVersion is the wire schema version this package speaks.
@@ -414,15 +421,22 @@ func (s *Snapshot) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("api: snapshot has no nodes")
 	}
-	nodes := make(map[string]bool, len(s.Nodes))
+	seen, _ := idSets.Get().(map[string]struct{})
+	if seen == nil {
+		seen = make(map[string]struct{}, max(len(s.Nodes), len(s.Jobs), len(s.Apps)))
+	}
+	defer func() {
+		clear(seen)
+		idSets.Put(seen)
+	}()
 	for i, n := range s.Nodes {
 		if n.ID == "" {
 			return fmt.Errorf("api: node %d has empty id", i)
 		}
-		if nodes[n.ID] {
+		if _, dup := seen[n.ID]; dup {
 			return fmt.Errorf("api: duplicate node %q", n.ID)
 		}
-		nodes[n.ID] = true
+		seen[n.ID] = struct{}{}
 		if !finite(n.CPUMHz) || n.CPUMHz <= 0 {
 			return fmt.Errorf("api: node %q cpuMHz %v", n.ID, n.CPUMHz)
 		}
@@ -430,30 +444,36 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("api: node %q memMB %d", n.ID, n.MemMB)
 		}
 	}
-	jobs := make(map[string]bool, len(s.Jobs))
+	clear(seen)
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
-		if j.ID != "" && jobs[j.ID] {
+		if _, dup := seen[j.ID]; dup && j.ID != "" {
 			return fmt.Errorf("api: duplicate job %q", j.ID)
 		}
-		jobs[j.ID] = true
+		seen[j.ID] = struct{}{}
 		if err := j.validate(i); err != nil {
 			return err
 		}
 	}
-	apps := make(map[string]bool, len(s.Apps))
+	clear(seen)
 	for i := range s.Apps {
 		a := &s.Apps[i]
-		if a.ID != "" && apps[a.ID] {
+		if _, dup := seen[a.ID]; dup && a.ID != "" {
 			return fmt.Errorf("api: duplicate app %q", a.ID)
 		}
-		apps[a.ID] = true
+		seen[a.ID] = struct{}{}
 		if err := a.validate(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// idSets recycles the ID sets Validate detects duplicates with, across
+// requests and sessions; a set is emptied before it goes back. One the
+// pool does not have is made at the snapshot's size, as growing it
+// entry by entry would rehash it several times.
+var idSets sync.Pool
 
 // validate checks one job's own fields — everything Validate checks of
 // a job except that its ID is unique. i is its position, for the error

@@ -7,17 +7,22 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"unicode/utf8"
 )
 
 // Compact binary codec for the wire schema, negotiated over HTTP via
-// Content-Type/Accept (see ContentTypeBinary). JSON remains the
-// canonical encoding: every document has exactly one JSON form, the
-// golden fixtures are JSON, and a peer that cannot speak binary loses
-// nothing but bytes. The binary form exists for the serve hot path,
-// where JSON encode/decode of a 500-node/5000-job snapshot dominates
-// the request cost.
+// Content-Type/Accept (see ContentTypeBinary). JSON remains the default
+// encoding: every document has exactly one JSON form, and a peer that
+// cannot speak binary loses nothing but bytes. The binary form exists
+// for the serve hot path, where even reflection-free JSON of a
+// 500-node/5000-job snapshot costs several times the binary codec. The
+// golden fixtures (testdata/golden) are binary documents.
+//
+// Each wire type's layout is one walk (binSnapshot, binJob, ...) that
+// drives both codecs in both directions; json.go holds the JSON writer
+// and reader the walks also run on.
 //
 // Properties:
 //
@@ -63,26 +68,10 @@ const (
 	binKindCheckpoint   = 5
 )
 
-// Action kinds on the binary wire (byte codes for the Action.Type
-// strings).
-var actionCode = map[string]byte{
-	ActionStartJob:         1,
-	ActionResumeJob:        2,
-	ActionSuspendJob:       3,
-	ActionMigrateJob:       4,
-	ActionSetJobShare:      5,
-	ActionAddInstance:      6,
-	ActionRemoveInstance:   7,
-	ActionSetInstanceShare: 8,
-}
-
-var actionName = func() map[byte]string {
-	m := make(map[byte]string, len(actionCode))
-	for name, code := range actionCode {
-		m[code] = name
-	}
-	return m
-}()
+// actionTypes lists the action types in the order of their one-byte
+// codes on the binary wire: actionTypes[i] is code i+1.
+var actionTypes = []string{ActionStartJob, ActionResumeJob, ActionSuspendJob, ActionMigrateJob,
+	ActionSetJobShare, ActionAddInstance, ActionRemoveInstance, ActionSetInstanceShare}
 
 const (
 	// binSpillBytes is how much of a document a streaming binWriter
@@ -145,13 +134,21 @@ func (w *binWriter) flush() {
 // pool and reports the first sink error. The writer must not be used
 // afterwards.
 func (w *binWriter) finish() error {
-	w.flush()
-	err := w.err
-	if cap(w.buf) <= binPoolMaxBytes {
-		*w = binWriter{buf: w.buf}
+	keep, err := w.drain()
+	if keep {
 		binWriters.Put(w)
 	}
 	return err
+}
+
+// drain writes out what is still buffered, readies the writer for its
+// next document and reports the first sink error, and whether the
+// buffer is small enough to pool.
+func (w *binWriter) drain() (keep bool, err error) {
+	w.flush()
+	err = w.err
+	*w = binWriter{buf: w.buf}
+	return cap(w.buf) <= binPoolMaxBytes, err
 }
 
 func (w *binWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -312,22 +309,25 @@ func (r *binReader) count(minBytes int) int {
 	return int(n)
 }
 
-// readAll is io.ReadAll with the buffer sized up front when the reader
-// knows its length (a bytes.Reader, a request body announcing its
-// Content-Length): one allocation for the document instead of a dozen
-// doublings. The length is a hint, never a limit — shorter and longer
+// readAll (and readInto, into a buffer of the caller's) is io.ReadAll
+// with the buffer sized up front when the reader knows its length (a
+// bytes.Reader, a request body announcing its Content-Length): one
+// allocation for the document instead of a dozen doublings. The length is a hint, never a limit — shorter and longer
 // inputs read correctly — and it is capped, so a peer's claim alone
 // cannot make the decoder allocate much more than maxReadPresize.
 func readAll(r io.Reader) ([]byte, error) {
-	sized, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
-	}
 	var buf bytes.Buffer
-	// MinRead to spare: ReadFrom sees EOF without growing the buffer.
-	buf.Grow(min(max(sized.Len(), 0), maxReadPresize) + bytes.MinRead)
-	_, err := buf.ReadFrom(r)
+	err := readInto(&buf, r)
 	return buf.Bytes(), err
+}
+
+func readInto(buf *bytes.Buffer, r io.Reader) error {
+	if sized, ok := r.(interface{ Len() int }); ok {
+		// MinRead to spare: ReadFrom sees EOF without growing the buffer.
+		buf.Grow(min(max(sized.Len(), 0), maxReadPresize) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return err
 }
 
 // finish validates that the document was consumed exactly.
@@ -341,27 +341,29 @@ func (r *binReader) finish() error {
 	return nil
 }
 
-// binCodec walks one binary document field by field in either
-// direction. Encoding, w is set and each call writes the field it is
-// handed; decoding, r is set and the same call reads the field into
-// that place. Each wire type's layout is therefore one walk (binJob,
-// binPlan, ...) declared once for both directions, so the encoder and
-// decoder cannot disagree. A decode error latches in r like any other:
-// a walk never stops early, every later read is a no-op returning zero.
+// binCodec walks one document field by field in one of four modes:
+// writing or reading the binary layout (w or r set), or writing or
+// reading JSON (jw or jr set). Each field call carries the field's JSON
+// name and omitempty flag, spelled as its struct tag, and the place it
+// is written from or read into, so each wire type's layout is one walk
+// (binJob, binPlan, ...) for both codecs in both directions: no encoder
+// and decoder can disagree. A decode error latches in r or jr: a walk
+// never stops early, and every later read is a no-op returning zero.
 type binCodec struct {
-	w *binWriter
-	r *binReader
+	w  *binWriter
+	r  *binReader
+	jw *jsonWriter
+	jr *jsonReader
 }
 
-// header frames a document: the magic, the binary format version and
-// the document kind.
+// header frames a binary document: the magic, the binary format
+// version and the document kind. JSON has no header.
 func (c *binCodec) header(kind byte) {
 	if c.w != nil {
 		c.w.buf = append(append(c.w.buf, binaryMagic[:]...), BinaryFormatVersion, kind)
 		return
 	}
-	r := c.r
-	switch {
+	switch r := c.r; {
 	case r.remaining() < len(binaryMagic)+2:
 		r.fail("truncated header")
 	case [4]byte(r.data) != binaryMagic:
@@ -375,122 +377,261 @@ func (c *binCodec) header(kind byte) {
 	}
 }
 
-// version frames a document's schema version: stamped with
-// SchemaVersion when the caller left it zero on encode, checked by
-// CheckVersion on decode.
+// version frames a document's schema version. In binary it is stamped
+// with SchemaVersion when the caller left it zero on encode and checked
+// by CheckVersion on decode; in JSON it is a plain field, stamped and
+// checked by the JSON Encode* and Decode* functions as before.
 func (c *binCodec) version(v *int) {
-	if c.w != nil {
+	switch {
+	case c.w != nil:
 		if *v == 0 {
 			*v = SchemaVersion
 		}
 		c.w.uvarint(uint64(*v))
-		return
-	}
-	*v = int(c.r.uvarint())
-	if c.r.err == nil {
-		c.r.err = CheckVersion(*v)
-	}
-}
-
-func (c *binCodec) str(s *string) {
-	if c.w != nil {
-		c.w.str(*s)
-	} else {
-		*s = c.r.str()
-	}
-}
-
-// jobState is str for a job state. One document repeats the same
-// three state strings thousands of times; they decode to the constants
-// instead of a fresh copy each.
-func (c *binCodec) jobState(s *string) {
-	if c.w != nil {
-		c.w.str(*s)
-		return
-	}
-	switch b := c.r.strBytes(); string(b) {
-	case JobPending:
-		*s = JobPending
-	case JobRunning:
-		*s = JobRunning
-	case JobSuspended:
-		*s = JobSuspended
+	case c.r != nil:
+		if *v = int(c.r.uvarint()); c.r.err == nil {
+			c.r.err = CheckVersion(*v)
+		}
 	default:
-		*s = string(b)
+		c.intv("schemaVersion", v)
 	}
 }
 
-func (c *binCodec) f64(v *float64) {
-	if c.w != nil {
-		c.w.f64(*v)
-	} else {
-		*v = c.r.f64()
+func (c *binCodec) str(tag string, s *string) {
+	switch {
+	case c.w != nil:
+		c.w.str(*s)
+	case c.r != nil:
+		*s = c.r.str()
+	default:
+		c.jsonField(tag, s)
 	}
 }
 
-func (c *binCodec) float(v *Float) { c.f64((*float64)(v)) }
-
-func (c *binCodec) i64(v *int64) {
-	if c.w != nil {
-		c.w.varint(*v)
-	} else {
-		*v = c.r.varint()
+// jsonField frames one scalar field in JSON, written or read. The
+// per-type methods hand their JSON cases to it, which keeps their binary
+// paths as small as they were before the walks spoke JSON.
+func (c *binCodec) jsonField(tag string, v any) {
+	switch v := v.(type) {
+	case *string:
+		if c.jw.member(tag, *v == "") {
+			c.jw.str(*v)
+		} else if c.jr.field(tag) {
+			*v = string(c.jr.strBytes())
+		}
+	case *float64:
+		if c.jw.member(tag, *v == 0) {
+			c.jw.f64(*v)
+		} else if c.jr.field(tag) {
+			*v = c.jr.f64()
+		}
+	case *Float:
+		if c.jw.member(tag, *v == 0) {
+			c.jw.buf = v.appendJSON(c.jw.buf)
+		} else if c.jr.field(tag) {
+			*v = c.jr.float()
+		}
+	case *int64:
+		if c.jw.member(tag, *v == 0) {
+			c.jw.buf = strconv.AppendInt(c.jw.buf, *v, 10)
+		} else if c.jr.field(tag) {
+			*v = c.jr.int()
+		}
+	case *bool:
+		if c.jw.member(tag, !*v) {
+			c.jw.buf = strconv.AppendBool(c.jw.buf, *v)
+		} else if c.jr.field(tag) {
+			*v = c.jr.boolv()
+		}
 	}
 }
 
-func (c *binCodec) intv(v *int) {
-	if c.w != nil {
-		c.w.varint(int64(*v))
-	} else {
-		*v = int(c.r.varint())
-	}
-}
-
-func (c *binCodec) boolv(v *bool) {
-	if c.w != nil {
-		c.w.boolv(*v)
-	} else {
-		*v = c.r.boolv()
-	}
-}
-
-// present frames an optional part behind a presence byte: it writes has
-// when encoding, and reports whether the part follows either way.
-func (c *binCodec) present(has bool) bool {
-	c.boolv(&has)
-	return has
-}
-
-// actionType frames an action type as its one-byte code. An unknown
-// type encodes as 0, which decoding rejects; FromCorePlan emits none.
-func (c *binCodec) actionType(t *string) {
-	if c.w != nil {
-		c.w.buf = append(c.w.buf, actionCode[*t])
+// interned is str for a value from a small set of names (job states,
+// action types). One document repeats them thousands of times; they
+// decode to the constants instead of a fresh copy each.
+func (c *binCodec) interned(tag string, s *string, names []string) {
+	var b []byte
+	switch {
+	case c.r != nil:
+		b = c.r.strBytes()
+	case c.jr.field(tag):
+		b = c.jr.strBytes()
+	default:
+		c.str(tag, s)
 		return
 	}
-	code := c.r.byteVal()
-	name, ok := actionName[code]
-	if !ok && c.r.err == nil {
-		c.r.fail("unknown action code %d", code)
+	for _, name := range names {
+		if string(b) == name {
+			*s = name
+			return
+		}
 	}
-	*t = name
+	*s = string(b)
+}
+
+var jobStates = []string{JobPending, JobRunning, JobSuspended}
+
+func (c *binCodec) f64(tag string, v *float64) {
+	switch {
+	case c.w != nil:
+		c.w.f64(*v)
+	case c.r != nil:
+		*v = c.r.f64()
+	default:
+		c.jsonField(tag, v)
+	}
+}
+
+// float is f64 for a Float, which JSON writes in its own format and
+// reads quoted when non-finite.
+func (c *binCodec) float(tag string, v *Float) {
+	if c.w != nil || c.r != nil {
+		c.f64(tag, (*float64)(v))
+	} else {
+		c.jsonField(tag, v)
+	}
+}
+
+func (c *binCodec) i64(tag string, v *int64) {
+	switch {
+	case c.w != nil:
+		c.w.varint(*v)
+	case c.r != nil:
+		*v = c.r.varint()
+	default:
+		c.jsonField(tag, v)
+	}
+}
+
+func (c *binCodec) intv(tag string, v *int) {
+	switch i := int64(*v); {
+	case c.w != nil:
+		c.w.varint(i)
+	case c.r != nil:
+		*v = int(c.r.varint())
+	default:
+		if c.i64(tag, &i); c.jr != nil {
+			if *v = int(i); int64(*v) != i {
+				c.jr.fail() // outside int on this platform: encoding/json's error
+			}
+		}
+	}
+}
+
+func (c *binCodec) boolv(tag string, v *bool) {
+	switch {
+	case c.w != nil:
+		c.w.boolv(*v)
+	case c.r != nil:
+		*v = c.r.boolv()
+	default:
+		c.jsonField(tag, v)
+	}
+}
+
+// present frames an optional binary part behind a presence byte: it
+// writes has when encoding, and reports whether the part follows either
+// way. A JSON part frames its own presence (a member or none), so
+// there the part always follows.
+func (c *binCodec) present(has bool) bool {
+	if c.w != nil || c.r != nil {
+		c.boolv("", &has)
+	}
+	return has || c.jw != nil || c.jr != nil
+}
+
+// begin and end frame a nested struct held by value (an app's model, a
+// plan's placement and diagnostics): a JSON object, nothing in binary.
+func (c *binCodec) begin(tag string) {
+	if c.jw != nil {
+		c.jw.member(tag, false)
+		c.jw.open('{')
+	} else if c.jr != nil {
+		c.jr.enter(c.jr.field(tag))
+	}
+}
+
+func (c *binCodec) end() {
+	if c.jw != nil {
+		c.jw.close('}')
+	} else if c.jr != nil {
+		c.jr.leave()
+	}
+}
+
+// actionType frames an action type: its one-byte code in binary, its
+// name in JSON. An unknown type encodes as 0 in binary, which decoding
+// rejects; FromCorePlan emits none.
+func (c *binCodec) actionType(tag string, t *string) {
+	switch {
+	case c.w != nil:
+		code := byte(0)
+		for i, name := range actionTypes {
+			if name == *t {
+				code = byte(i + 1)
+				break
+			}
+		}
+		c.w.buf = append(c.w.buf, code)
+	case c.r != nil:
+		code := c.r.byteVal()
+		if code == 0 || int(code) > len(actionTypes) {
+			if c.r.err == nil {
+				c.r.fail("unknown action code %d", code)
+			}
+			*t = ""
+			return
+		}
+		*t = actionTypes[code-1]
+	default:
+		c.interned(tag, t, actionTypes)
+	}
+}
+
+// optF64 frames an optional number like binOpt an optional object.
+func (c *binCodec) optF64(tag string, p **float64) {
+	switch {
+	case c.w != nil || c.r != nil:
+		if c.present(*p != nil) {
+			if *p == nil {
+				*p = new(float64)
+			}
+			c.f64("", *p)
+		}
+	case c.jw.member(tag, *p == nil):
+		c.jw.f64(**p)
+	case c.jr.field(tag):
+		*p = new(float64)
+		**p = c.jr.f64()
+	}
 }
 
 // floatMap frames a map as its entries in strictly increasing key
-// order: the writer sorts, the reader rejects any other order as a
-// second wire form of the same map.
-func (c *binCodec) floatMap(m *map[string]Float) {
-	if c.w != nil {
+// order: the writers sort, the binary reader rejects any other order as
+// a second wire form of the same map (JSON reads any order, as
+// encoding/json does).
+func (c *binCodec) floatMap(tag string, m *map[string]Float) {
+	switch {
+	case c.w != nil, c.jw != nil:
 		keys := make([]string, 0, len(*m))
 		for k := range *m {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		if c.jw != nil {
+			c.jw.floatMap(tag, *m, keys)
+			return
+		}
 		c.w.uvarint(uint64(len(keys)))
 		for _, k := range keys {
 			c.w.str(k)
 			c.w.f64(float64((*m)[k]))
 		}
+		return
+	case c.jr.field(tag):
+		*m = c.jr.floatMap()
+		return
+	case c.r == nil:
 		return
 	}
 	r := c.r
@@ -515,34 +656,90 @@ func (c *binCodec) floatMap(m *map[string]Float) {
 	*m = out
 }
 
-// binSlice frames a slice: its length, then each element through walk,
-// a row each. A decoded length is bounded by the bytes remaining at
-// minBytes per element before anything is allocated; an empty slice
-// leaves *s as it was (nil in a fresh document).
-func binSlice[T any](c *binCodec, s *[]T, minBytes int, walk func(*binCodec, *T)) {
-	if c.w != nil {
+// binSlice frames a list of objects, each walked by walk, a row each;
+// binValues a list of bare values, each framed by field. A decoded
+// binary length is bounded by the bytes remaining at minBytes per
+// element before anything is allocated; an empty binary list leaves *s
+// as it was (nil in a fresh document), while JSON reads [] as an empty
+// list and null or no member as nil, as encoding/json does.
+func binSlice[T any](c *binCodec, tag string, s *[]T, minBytes int, walk func(*binCodec, *T)) {
+	binList(c, tag, s, minBytes, true, walk)
+}
+
+func binValues[T any](c *binCodec, tag string, s *[]T, minBytes int, field func(*binCodec, string, *T)) {
+	binList(c, tag, s, minBytes, false, func(c *binCodec, v *T) { field(c, "", v) })
+}
+
+func binList[T any](c *binCodec, tag string, s *[]T, minBytes int, objects bool, walk func(*binCodec, *T)) {
+	switch {
+	case c.w != nil:
 		c.w.uvarint(uint64(len(*s)))
 		for i := range *s {
 			walk(c, &(*s)[i])
 			c.w.row()
 		}
-		return
-	}
-	if n := c.r.count(minBytes); n > 0 {
-		*s = make([]T, n)
-		for i := range *s {
-			walk(c, &(*s)[i])
+	case c.r != nil:
+		if n := c.r.count(minBytes); n > 0 {
+			*s = make([]T, n)
+			for i := range *s {
+				walk(c, &(*s)[i])
+			}
 		}
+	case c.jw.member(tag, len(*s) == 0):
+		if *s == nil {
+			c.jw.buf = append(c.jw.buf, "null"...)
+			return
+		}
+		c.jw.open('[')
+		for i := range *s {
+			if objects && c.jw.member("", false) {
+				c.jw.open('{')
+			}
+			if walk(c, &(*s)[i]); objects {
+				c.jw.close('}')
+			}
+			c.jw.row()
+		}
+		c.jw.close(']')
+	case c.jr.field(tag):
+		buf := list[T](c.jr)
+		for i := 0; c.jr.elem(i); i++ {
+			if buf.elems = append(buf.elems, *new(T)); !objects || c.jr.enter(true) {
+				walk(c, &buf.elems[i])
+			}
+			if objects {
+				c.jr.leave()
+			}
+		}
+		*s = append(make([]T, 0, len(buf.elems)), buf.elems...)
+		clear(buf.elems)
+		buf.elems, buf.busy = buf.elems[:0], false
 	}
 }
 
-// binOpt frames an optional pointer part; decoding allocates it.
-func binOpt[T any](c *binCodec, p **T, walk func(*binCodec, *T)) {
-	if c.present(*p != nil) {
-		if *p == nil {
-			*p = new(T)
+// binOpt frames an optional object held by pointer: a presence byte in
+// binary, a member or none in JSON. Decoding allocates it.
+func binOpt[T any](c *binCodec, tag string, p **T, walk func(*binCodec, *T)) {
+	switch {
+	case c.w != nil || c.r != nil:
+		if c.present(*p != nil) {
+			if *p == nil {
+				*p = new(T)
+			}
+			walk(c, *p)
 		}
+	case c.jw.member(tag, *p == nil):
+		if *p == nil {
+			c.jw.buf = append(c.jw.buf, "null"...)
+			return
+		}
+		c.jw.open('{')
 		walk(c, *p)
+		c.jw.close('}')
+	case c.jr.field(tag) && c.jr.enter(true):
+		*p = new(T)
+		walk(c, *p)
+		c.jr.leave()
 	}
 }
 
@@ -581,175 +778,185 @@ func decodeBinary[T any](r io.Reader, kind byte, walk func(*binCodec, *T), check
 
 func binSnapshot(c *binCodec, s *Snapshot) {
 	c.version(&s.SchemaVersion)
-	c.f64(&s.Now)
-	binSlice(c, &s.Nodes, 2, binNode)
-	binSlice(c, &s.Jobs, 8, binJob)
-	binSlice(c, &s.Apps, 8, binApp)
+	c.f64("now", &s.Now)
+	binSlice(c, "nodes", &s.Nodes, 2, binNode)
+	binSlice(c, "jobs,omitempty", &s.Jobs, 8, binJob)
+	binSlice(c, "apps,omitempty", &s.Apps, 8, binApp)
 }
 
 func binNode(c *binCodec, n *Node) {
-	c.str(&n.ID)
-	c.f64(&n.CPUMHz)
-	c.i64(&n.MemMB)
+	c.str("id", &n.ID)
+	c.f64("cpuMHz", &n.CPUMHz)
+	c.i64("memMB", &n.MemMB)
 }
 
 func binJob(c *binCodec, j *Job) {
-	c.str(&j.ID)
-	c.str(&j.Class)
-	c.jobState(&j.State)
-	c.str(&j.Node)
-	c.f64(&j.ShareMHz)
-	c.boolv(&j.Migrating)
-	c.f64(&j.RemainingMHzs)
-	c.f64(&j.MaxSpeedMHz)
-	c.i64(&j.MemMB)
-	c.f64(&j.GoalSec)
-	c.f64(&j.SubmittedSec)
-	binOpt(c, &j.Utility, binUtilityFn)
+	c.str("id", &j.ID)
+	c.str("class,omitempty", &j.Class)
+	c.interned("state", &j.State, jobStates)
+	c.str("node,omitempty", &j.Node)
+	c.f64("shareMHz,omitempty", &j.ShareMHz)
+	c.boolv("migrating,omitempty", &j.Migrating)
+	c.f64("remainingMHzs", &j.RemainingMHzs)
+	c.f64("maxSpeedMHz", &j.MaxSpeedMHz)
+	c.i64("memMB", &j.MemMB)
+	c.f64("goalSec", &j.GoalSec)
+	c.f64("submittedSec", &j.SubmittedSec)
+	binOpt(c, "utility,omitempty", &j.Utility, binUtilityFn)
 }
 
 func binApp(c *binCodec, a *App) {
-	c.str(&a.ID)
-	c.f64(&a.Lambda)
-	c.f64(&a.RTGoalSec)
-	c.str(&a.Model.Type)
-	c.f64(&a.Model.DemandMHzs)
-	c.f64(&a.Model.CoreSpeedMHz)
-	binOpt(c, &a.Utility, binUtilityFn)
-	c.i64(&a.InstanceMemMB)
-	c.f64(&a.MaxPerInstanceMHz)
-	c.intv(&a.MinInstances)
-	c.intv(&a.MaxInstances)
-	binSlice(c, &a.Instances, 9, binInstance)
-	c.float(&a.MeasuredRTSec)
+	c.str("id", &a.ID)
+	c.f64("lambda", &a.Lambda)
+	c.f64("rtGoalSec", &a.RTGoalSec)
+	c.begin("model")
+	c.str("type", &a.Model.Type)
+	c.f64("demandMHzs", &a.Model.DemandMHzs)
+	c.f64("coreSpeedMHz,omitempty", &a.Model.CoreSpeedMHz)
+	c.end()
+	binOpt(c, "utility,omitempty", &a.Utility, binUtilityFn)
+	c.i64("instanceMemMB", &a.InstanceMemMB)
+	c.f64("maxPerInstanceMHz", &a.MaxPerInstanceMHz)
+	c.intv("minInstances,omitempty", &a.MinInstances)
+	c.intv("maxInstances,omitempty", &a.MaxInstances)
+	binSlice(c, "instances,omitempty", &a.Instances, 9, binInstance)
+	c.float("measuredRTSec,omitempty", &a.MeasuredRTSec)
 }
 
 func binInstance(c *binCodec, in *Instance) {
-	c.str(&in.Node)
-	c.f64(&in.ShareMHz)
+	c.str("node", &in.Node)
+	c.f64("shareMHz", &in.ShareMHz)
 }
 
 func binUtilityFn(c *binCodec, u *UtilityFn) {
-	c.str(&u.Type)
-	c.f64(&u.Floor)
-	c.f64(&u.K)
-	binSlice(c, &u.Points, 16, func(c *binCodec, p *Point) {
-		c.f64(&p.P)
-		c.f64(&p.U)
+	c.str("type", &u.Type)
+	c.f64("floor,omitempty", &u.Floor)
+	c.f64("k,omitempty", &u.K)
+	binSlice(c, "points,omitempty", &u.Points, 16, func(c *binCodec, p *Point) {
+		c.f64("p", &p.P)
+		c.f64("u", &p.U)
 	})
 }
 
 func binPlan(c *binCodec, p *Plan) {
 	c.version(&p.SchemaVersion)
-	binSlice(c, &p.Actions, 12, binAction)
-	binSlice(c, &p.Placement.Jobs, 4, func(c *binCodec, j *JobPlacement) {
-		c.str(&j.ID)
-		c.jobState(&j.State)
-		c.str(&j.Node)
-		c.f64(&j.ShareMHz)
+	binSlice(c, "actions,omitempty", &p.Actions, 12, binAction)
+	c.begin("placement")
+	binSlice(c, "jobs,omitempty", &p.Placement.Jobs, 4, func(c *binCodec, j *JobPlacement) {
+		c.str("id", &j.ID)
+		c.interned("state", &j.State, jobStates)
+		c.str("node,omitempty", &j.Node)
+		c.f64("shareMHz,omitempty", &j.ShareMHz)
 	})
-	binSlice(c, &p.Placement.Apps, 2, func(c *binCodec, a *AppPlacement) {
-		c.str(&a.ID)
-		binSlice(c, &a.Instances, 9, binInstance)
+	binSlice(c, "apps,omitempty", &p.Placement.Apps, 2, func(c *binCodec, a *AppPlacement) {
+		c.str("id", &a.ID)
+		binSlice(c, "instances,omitempty", &a.Instances, 9, binInstance)
 	})
+	c.end()
 	d := &p.Diagnostics
-	c.float(&d.EqualizedUtility)
-	c.float(&d.HypotheticalJobUtility)
-	c.floatMap(&d.ClassHypoUtility)
-	c.float(&d.JobDemandMHz)
-	c.float(&d.JobTargetMHz)
-	c.floatMap(&d.AppPrediction)
-	c.floatMap(&d.AppDemandMHz)
-	c.floatMap(&d.AppTargetMHz)
+	c.begin("diagnostics")
+	c.float("equalizedUtility", &d.EqualizedUtility)
+	c.float("hypotheticalJobUtility", &d.HypotheticalJobUtility)
+	c.floatMap("classHypoUtility,omitempty", &d.ClassHypoUtility)
+	c.float("jobDemandMHz", &d.JobDemandMHz)
+	c.float("jobTargetMHz", &d.JobTargetMHz)
+	c.floatMap("appPrediction,omitempty", &d.AppPrediction)
+	c.floatMap("appDemandMHz,omitempty", &d.AppDemandMHz)
+	c.floatMap("appTargetMHz,omitempty", &d.AppTargetMHz)
+	c.end()
 }
 
 func binAction(c *binCodec, a *Action) {
-	c.actionType(&a.Type)
-	c.str(&a.Job)
-	c.str(&a.App)
-	c.str(&a.Node)
-	c.f64(&a.ShareMHz)
+	c.actionType("type", &a.Type)
+	c.str("job,omitempty", &a.Job)
+	c.str("app,omitempty", &a.App)
+	c.str("node,omitempty", &a.Node)
+	c.f64("shareMHz,omitempty", &a.ShareMHz)
 }
 
 func binForecastConfig(c *binCodec, f *ForecastConfig) {
-	c.str(&f.Predictor)
-	c.intv(&f.Window)
-	c.f64(&f.HoltAlpha)
-	c.f64(&f.HoltBeta)
-	c.intv(&f.AROrder)
-	binOpt(c, &f.CorrectionAlpha, (*binCodec).f64)
+	c.str("predictor,omitempty", &f.Predictor)
+	c.intv("window,omitempty", &f.Window)
+	c.f64("holtAlpha,omitempty", &f.HoltAlpha)
+	c.f64("holtBeta,omitempty", &f.HoltBeta)
+	c.intv("arOrder,omitempty", &f.AROrder)
+	c.optF64("correctionAlpha,omitempty", &f.CorrectionAlpha)
 }
 
 func binForecastState(c *binCodec, s *ForecastState) {
+	c.begin("config")
 	binForecastConfig(c, &s.Config)
-	c.boolv(&s.HasNow)
-	c.f64(&s.LastNowSec)
-	binSlice(c, &s.Apps, 20, func(c *binCodec, a *ForecastApp) {
-		c.str(&a.ID)
-		binSlice(c, &a.History, 8, (*binCodec).f64)
-		c.f64(&a.Factor)
-		c.intv(&a.CorrectionSamples)
-		c.boolv(&a.HasPred)
-		c.f64(&a.PredForSec)
-		c.f64(&a.Pred)
+	c.end()
+	c.boolv("hasNow,omitempty", &s.HasNow)
+	c.f64("lastNowSec,omitempty", &s.LastNowSec)
+	binSlice(c, "apps,omitempty", &s.Apps, 20, func(c *binCodec, a *ForecastApp) {
+		c.str("id", &a.ID)
+		binValues(c, "history,omitempty", &a.History, 8, (*binCodec).f64)
+		c.f64("factor,omitempty", &a.Factor)
+		c.intv("correctionSamples,omitempty", &a.CorrectionSamples)
+		c.boolv("hasPred,omitempty", &a.HasPred)
+		c.f64("predForSec,omitempty", &a.PredForSec)
+		c.f64("pred,omitempty", &a.Pred)
 	})
 }
 
 func binDelta(c *binCodec, d *SnapshotDelta) {
-	c.intv(&d.BaseCycle)
-	c.f64(&d.Now)
-	// Nodes present but empty empties the node list; absent keeps it.
+	c.intv("baseCycle", &d.BaseCycle)
+	c.f64("now", &d.Now)
+	// Nodes present but empty empties the node list; absent keeps it. In
+	// JSON the member says which ("nodes":[] against none), though the
+	// writer, like json.Marshal's omitempty, writes neither.
 	if c.present(d.Nodes != nil) {
-		if d.Nodes == nil {
+		if d.Nodes == nil && c.r != nil {
 			d.Nodes = []Node{}
 		}
-		binSlice(c, &d.Nodes, 2, binNode)
+		binSlice(c, "nodes,omitempty", &d.Nodes, 2, binNode)
 	}
-	binSlice(c, &d.UpsertJobs, 8, binJob)
-	binSlice(c, &d.RemoveJobs, 1, (*binCodec).str)
-	binSlice(c, &d.UpsertApps, 8, binApp)
-	binSlice(c, &d.RemoveApps, 1, (*binCodec).str)
+	binSlice(c, "upsertJobs,omitempty", &d.UpsertJobs, 8, binJob)
+	binValues(c, "removeJobs,omitempty", &d.RemoveJobs, 1, (*binCodec).str)
+	binSlice(c, "upsertApps,omitempty", &d.UpsertApps, 8, binApp)
+	binValues(c, "removeApps,omitempty", &d.RemoveApps, 1, (*binCodec).str)
 }
 
 func binPlanRequest(c *binCodec, req *PlanRequest) {
 	c.version(&req.SchemaVersion)
-	c.str(&req.ClusterID) // first, for PeekPlanRequestClusterBinary
-	binOpt(c, &req.Snapshot, binSnapshot)
-	binOpt(c, &req.Delta, binDelta)
-	c.str(&req.Reply)
-	c.intv(&req.Shards)
-	binOpt(c, &req.Forecast, binForecastConfig)
+	c.str("clusterId,omitempty", &req.ClusterID) // first, for PeekPlanRequestClusterBinary
+	binOpt(c, "snapshot,omitempty", &req.Snapshot, binSnapshot)
+	binOpt(c, "delta,omitempty", &req.Delta, binDelta)
+	c.str("reply,omitempty", &req.Reply)
+	c.intv("shards,omitempty", &req.Shards)
+	binOpt(c, "forecast,omitempty", &req.Forecast, binForecastConfig)
 }
 
 func binPlanResponse(c *binCodec, resp *PlanResponse) {
 	c.version(&resp.SchemaVersion)
-	c.str(&resp.ClusterID)
-	c.intv(&resp.Cycle)
-	c.str(&resp.PlanMode)
-	binOpt(c, &resp.Stats, func(c *binCodec, s *PlanStats) {
-		c.intv(&s.Full)
-		c.intv(&s.Incremental)
-		c.intv(&s.Replayed)
-		c.str(&s.LastMode)
-		c.f64(&s.LastDemandDeltaMHz)
+	c.str("clusterId", &resp.ClusterID)
+	c.intv("cycle", &resp.Cycle)
+	c.str("planMode,omitempty", &resp.PlanMode)
+	binOpt(c, "stats,omitempty", &resp.Stats, func(c *binCodec, s *PlanStats) {
+		c.intv("full", &s.Full)
+		c.intv("incremental", &s.Incremental)
+		c.intv("replayed", &s.Replayed)
+		c.str("lastMode", &s.LastMode)
+		c.f64("lastDemandDeltaMHz", &s.LastDemandDeltaMHz)
 	})
-	binOpt(c, &resp.Plan, binPlan)
-	binSlice(c, &resp.Delta, 12, binAction)
+	binOpt(c, "plan,omitempty", &resp.Plan, binPlan)
+	binSlice(c, "delta,omitempty", &resp.Delta, 12, binAction)
 }
 
 func binCheckpoint(c *binCodec, ck *Checkpoint) {
 	c.version(&ck.SchemaVersion)
-	c.str(&ck.ClusterID)
-	c.str(&ck.Controller)
-	c.intv(&ck.Cycle)
-	c.boolv(&ck.HasNow)
-	c.f64(&ck.LastNowSec)
-	c.intv(&ck.Shards)
-	binSlice(c, &ck.ShardBounds, 1, (*binCodec).intv)
-	c.intv(&ck.ShardReshards)
-	binOpt(c, &ck.Snapshot, binSnapshot)
-	binOpt(c, &ck.Plan, binPlan)
-	binOpt(c, &ck.Forecast, binForecastState)
+	c.str("clusterId", &ck.ClusterID)
+	c.str("controller,omitempty", &ck.Controller)
+	c.intv("cycle", &ck.Cycle)
+	c.boolv("hasNow,omitempty", &ck.HasNow)
+	c.f64("lastNowSec,omitempty", &ck.LastNowSec)
+	c.intv("shards,omitempty", &ck.Shards)
+	binValues(c, "shardBounds,omitempty", &ck.ShardBounds, 1, (*binCodec).intv)
+	c.intv("shardReshards,omitempty", &ck.ShardReshards)
+	binOpt(c, "snapshot,omitempty", &ck.Snapshot, binSnapshot)
+	binOpt(c, "plan,omitempty", &ck.Plan, binPlan)
+	binOpt(c, "forecast,omitempty", &ck.Forecast, binForecastState)
 }
 
 // --- Documents ---
@@ -799,7 +1006,7 @@ func PeekPlanRequestClusterBinary(data []byte) (string, error) {
 	var req PlanRequest
 	c.header(binKindPlanRequest)
 	c.version(&req.SchemaVersion)
-	c.str(&req.ClusterID)
+	c.str("clusterId,omitempty", &req.ClusterID)
 	return req.ClusterID, c.r.err
 }
 

@@ -97,14 +97,7 @@ func (c *Checkpoint) Validate() error {
 
 // DecodeCheckpoint reads, version-checks and validates one checkpoint.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := decode(r, &c); err != nil {
-		return nil, err
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &c, nil
+	return decodeJSON(r, binCheckpoint, (*Checkpoint).Validate)
 }
 
 // EncodeCheckpoint writes one checkpoint, stamping schema versions
@@ -119,5 +112,5 @@ func EncodeCheckpoint(w io.Writer, c *Checkpoint) error {
 	if c.Plan != nil && c.Plan.SchemaVersion == 0 {
 		c.Plan.SchemaVersion = SchemaVersion
 	}
-	return encode(w, c)
+	return encodeJSON(newJSONWriter(w), c, binCheckpoint)
 }

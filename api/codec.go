@@ -17,17 +17,20 @@ import (
 type Float float64
 
 // MarshalJSON implements json.Marshaler.
-func (f Float) MarshalJSON() ([]byte, error) {
+func (f Float) MarshalJSON() ([]byte, error) { return f.appendJSON(nil), nil }
+
+// appendJSON appends f's JSON form to b.
+func (f Float) appendJSON(b []byte) []byte {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
+		return append(b, `"+Inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
+		return append(b, `"-Inf"`...)
 	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
+		return append(b, `"NaN"`...)
 	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -61,9 +64,11 @@ func (f *Float) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// decode unmarshals one JSON document from r into v. Unknown fields
-// are tolerated by design: an older build must interoperate with a
-// peer that has grown additive fields.
+// decode unmarshals one JSON document from r into v with
+// encoding/json: the JSON decoders' path for documents outside the
+// canonical subset the walks read (see json.go). Unknown fields are
+// tolerated by design: an older build must interoperate with a peer
+// that has grown additive fields.
 func decode(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
@@ -72,27 +77,9 @@ func decode(r io.Reader, v any) error {
 	return nil
 }
 
-// encode marshals v to w as one JSON document with a trailing newline.
-func encode(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("api: encode: %w", err)
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
 // DecodeSnapshot reads, version-checks and validates one snapshot.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := decode(r, &s); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return decodeJSON(r, binSnapshot, (*Snapshot).Validate)
 }
 
 // EncodeSnapshot writes one snapshot, stamping the schema version if
@@ -101,19 +88,12 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	if s.SchemaVersion == 0 {
 		s.SchemaVersion = SchemaVersion
 	}
-	return encode(w, s)
+	return encodeJSON(newJSONWriter(w), s, binSnapshot)
 }
 
 // DecodePlan reads and version-checks one plan.
 func DecodePlan(r io.Reader) (*Plan, error) {
-	var p Plan
-	if err := decode(r, &p); err != nil {
-		return nil, err
-	}
-	if err := CheckVersion(p.SchemaVersion); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return decodeJSON(r, binPlan, func(p *Plan) error { return CheckVersion(p.SchemaVersion) })
 }
 
 // EncodePlan writes one plan, stamping the schema version if the
@@ -122,7 +102,7 @@ func EncodePlan(w io.Writer, p *Plan) error {
 	if p.SchemaVersion == 0 {
 		p.SchemaVersion = SchemaVersion
 	}
-	return encode(w, p)
+	return encodeJSON(newJSONWriter(w), p, binPlan)
 }
 
 // DecodePlanRequest reads, version-checks and shape-checks one plan
@@ -131,14 +111,7 @@ func EncodePlan(w io.Writer, p *Plan) error {
 // 5000-job snapshot's validation walk is hot-path work worth doing
 // exactly once).
 func DecodePlanRequest(r io.Reader) (*PlanRequest, error) {
-	var req PlanRequest
-	if err := decode(r, &req); err != nil {
-		return nil, err
-	}
-	if err := req.checkShape(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeJSON(r, binPlanRequest, (*PlanRequest).checkShape)
 }
 
 // checkShape version-checks a decoded plan request and checks its
@@ -174,17 +147,22 @@ func EncodePlanRequest(w io.Writer, req *PlanRequest) error {
 	if req.Snapshot != nil && req.Snapshot.SchemaVersion == 0 {
 		req.Snapshot.SchemaVersion = SchemaVersion
 	}
-	return encode(w, req)
+	return encodeJSON(newJSONWriter(w), req, binPlanRequest)
 }
 
 // DecodePlanResponse reads and version-checks one plan response.
 func DecodePlanResponse(r io.Reader) (*PlanResponse, error) {
-	var resp PlanResponse
-	if err := decode(r, &resp); err != nil {
-		return nil, err
+	return decodeJSON(r, binPlanResponse, func(r *PlanResponse) error { return CheckVersion(r.SchemaVersion) })
+}
+
+// EncodePlanResponse writes one plan response, stamping schema
+// versions left zero.
+func EncodePlanResponse(w io.Writer, resp *PlanResponse) error {
+	if resp.SchemaVersion == 0 {
+		resp.SchemaVersion = SchemaVersion
 	}
-	if err := CheckVersion(resp.SchemaVersion); err != nil {
-		return nil, err
+	if resp.Plan != nil && resp.Plan.SchemaVersion == 0 {
+		resp.Plan.SchemaVersion = SchemaVersion
 	}
-	return &resp, nil
+	return encodeJSON(newJSONWriter(w), resp, binPlanResponse)
 }

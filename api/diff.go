@@ -1,5 +1,7 @@
 package api
 
+import "sync"
+
 // Diff computes the typed action list that moves the previous plan's
 // placement to this plan's placement, so a caller that enacted prev
 // can enact the delta instead of re-reading the whole placement.
@@ -41,7 +43,10 @@ func (p *Plan) Diff(prev *Plan) []Action {
 		pa[prevApps[i].ID] = &prevApps[i]
 	}
 
-	var frees, places, shares []Action
+	// One pass collects the three groups in pooled lists; the result is
+	// then allocated once, at its exact length.
+	sc := diffScratches.Get().(*diffScratch)
+	frees, places, shares := sc.frees[:0], sc.places[:0], sc.shares[:0]
 	// Per-app instance indexes, recycled across apps.
 	prevByNode := map[string]float64{}
 	nowByNode := map[string]bool{}
@@ -117,15 +122,22 @@ func (p *Plan) Diff(prev *Plan) []Action {
 			frees = append(frees, Action{Type: ActionRemoveInstance, App: was.ID, Node: in.Node})
 		}
 	}
-	if len(frees)+len(places) == 0 && shares != nil {
-		return shares // the steady state: share retunes only
-	}
 	out := make([]Action, 0, len(frees)+len(places)+len(shares))
-	out = append(out, frees...)
-	out = append(out, places...)
-	out = append(out, shares...)
+	out = append(append(append(out, frees...), places...), shares...)
+	clear(frees)
+	clear(places)
+	clear(shares)
+	sc.frees, sc.places, sc.shares = frees, places, shares
+	diffScratches.Put(sc)
 	return out
 }
+
+// diffScratch holds one Diff's action groups while it walks. Its lists
+// are cleared before they go back to the pool, so a pooled list keeps
+// no plan's IDs alive.
+type diffScratch struct{ frees, places, shares []Action }
+
+var diffScratches = sync.Pool{New: func() any { return new(diffScratch) }}
 
 // jobsSorted reports whether the placement lists its jobs in strictly
 // increasing ID order.

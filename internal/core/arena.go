@@ -42,6 +42,12 @@ type planScratch struct {
 	// headroom, indexed by Ledger.pos.
 	rebCands []*PlannedJob
 	heads    []res.CPU
+
+	// instNodes holds every app's sorted instance nodes, app i's at
+	// [instAt[i], instAt[i+1]); planContext.instanceNodes fills it once
+	// per pass.
+	instNodes []cluster.NodeID
+	instAt    []int
 }
 
 // planArena is one plan's scratch: everything sized by the job count or

@@ -103,6 +103,8 @@ func poisonFreeArenas(nodeIDs []cluster.NodeID, appIDs []trans.AppID) int {
 		fillCap(sc.webIDs, "bogus")
 		fillCap(sc.rebCands, bogusJob)
 		fillCap(sc.heads, res.CPU(nan))
+		fillCap(sc.instNodes, "bogus")
+		fillCap(sc.instAt, math.MinInt32)
 	}
 	return len(arenas.free)
 }

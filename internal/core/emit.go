@@ -59,7 +59,7 @@ func (c *PlacementController) emitWebShares(ctx *planContext) {
 	// Share changes for kept instances.
 	for ai := range st.Apps {
 		app := &st.Apps[ai]
-		nodes := app.InstanceNodes()
+		nodes := ctx.instanceNodes(ai)
 		for _, n := range nodes {
 			target, ok := plannedShare(app.ID, n)
 			if !ok {

@@ -310,7 +310,7 @@ func (c *PlacementController) fastWebPlacement(ctx *planContext) {
 	st, plan, ledgers := ctx.st, ctx.plan, ctx.ledgers
 	for ai := range st.Apps {
 		app := &st.Apps[ai]
-		kept := app.InstanceNodes()
+		kept := ctx.instanceNodes(ai)
 		if len(kept) == 0 {
 			plan.AppTarget[app.ID] = 0
 			continue

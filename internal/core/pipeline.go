@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+
+	"slaplace/internal/cluster"
 	"slaplace/internal/res"
 	"slaplace/internal/utility"
 	"slaplace/internal/workload/batch"
@@ -64,6 +67,29 @@ type planContext struct {
 	// Phase-1 products consumed downstream.
 	appCurves []utility.Curve
 	appTarget map[trans.AppID]res.CPU
+
+	// instSorted: scratch.instNodes holds this pass's instance lists.
+	instSorted bool
+}
+
+// instanceNodes is st.Apps[ai].InstanceNodes() for phases that only
+// read the list: every app's list is built and sorted once per pass,
+// into scratch.
+func (ctx *planContext) instanceNodes(ai int) []cluster.NodeID {
+	sc := ctx.ensureScratch()
+	if !ctx.instSorted {
+		ctx.instSorted = true
+		sc.instNodes, sc.instAt = sc.instNodes[:0], append(sc.instAt[:0], 0)
+		for i := range ctx.st.Apps {
+			from := len(sc.instNodes)
+			for n := range ctx.st.Apps[i].Instances {
+				sc.instNodes = append(sc.instNodes, n)
+			}
+			slices.Sort(sc.instNodes[from:])
+			sc.instAt = append(sc.instAt, len(sc.instNodes))
+		}
+	}
+	return sc.instNodes[sc.instAt[ai]:sc.instAt[ai+1]:sc.instAt[ai+1]]
 }
 
 // ensureScratch returns the context's working storage, allocating a

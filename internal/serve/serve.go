@@ -447,7 +447,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", api.ContentTypeJSON)
+	if err := api.EncodePlanResponse(w, resp); err != nil {
+		// A value JSON cannot carry answers 500, as writeJSON does: a
+		// reply shorter than the writer's spill size has sent nothing.
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			httpError(w, http.StatusInternalServerError, unsupported)
+			return
+		}
+		s.logf("serve: JSON response for %q failed: %v", clusterID, err)
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
