@@ -219,14 +219,14 @@ func TestFloatRoundTrip(t *testing.T) {
 // TestActionRoundTrip: every planner action kind survives the wire.
 func TestActionRoundTrip(t *testing.T) {
 	actions := []core.Action{
-		core.StartJob{Job: "j", Node: "n", Share: 100},
-		core.ResumeJob{Job: "j", Node: "n", Share: 200},
-		core.SuspendJob{Job: "j"},
-		core.MigrateJob{Job: "j", Dst: "n2", Share: 300},
-		core.SetJobShare{Job: "j", Share: 400},
-		core.AddInstance{App: "a", Node: "n", Share: 500},
-		core.RemoveInstance{App: "a", Node: "n"},
-		core.SetInstanceShare{App: "a", Node: "n", Share: 600},
+		{Kind: core.StartJob, Job: "j", Node: "n", Share: 100},
+		{Kind: core.ResumeJob, Job: "j", Node: "n", Share: 200},
+		{Kind: core.SuspendJob, Job: "j"},
+		{Kind: core.MigrateJob, Job: "j", Node: "n2", Share: 300},
+		{Kind: core.SetJobShare, Job: "j", Share: 400},
+		{Kind: core.AddInstance, App: "a", Node: "n", Share: 500},
+		{Kind: core.RemoveInstance, App: "a", Node: "n"},
+		{Kind: core.SetInstanceShare, App: "a", Node: "n", Share: 600},
 	}
 	for _, act := range actions {
 		wire, err := FromCoreAction(act)
@@ -243,6 +243,46 @@ func TestActionRoundTrip(t *testing.T) {
 	}
 	if _, err := (Action{Type: "nonsense"}).CoreAction(); err == nil {
 		t.Error("unknown wire action accepted")
+	}
+}
+
+// TestActionKindsAreWireCodes: core.ActionKind k is binary action
+// code k, whose wire name is actionTypes[k-1], and an action of every
+// kind converts to the wire and back unchanged.
+func TestActionKindsAreWireCodes(t *testing.T) {
+	want := []struct {
+		kind core.ActionKind
+		name string
+	}{
+		{core.StartJob, ActionStartJob},
+		{core.ResumeJob, ActionResumeJob},
+		{core.SuspendJob, ActionSuspendJob},
+		{core.MigrateJob, ActionMigrateJob},
+		{core.SetJobShare, ActionSetJobShare},
+		{core.AddInstance, ActionAddInstance},
+		{core.RemoveInstance, ActionRemoveInstance},
+		{core.SetInstanceShare, ActionSetInstanceShare},
+	}
+	if len(actionTypes) != len(want) {
+		t.Fatalf("%d wire action types, %d kinds", len(actionTypes), len(want))
+	}
+	for i, w := range want {
+		if int(w.kind) != i+1 || actionTypes[w.kind-1] != w.name {
+			t.Errorf("kind %d: code %d is %q, want %q", w.kind, i+1, actionTypes[i], w.name)
+		}
+		a := core.Action{Kind: w.kind, Job: "j", App: "a", Node: "n", Share: 100}
+		wire, err := FromCoreAction(a)
+		if err != nil || wire.Type != w.name {
+			t.Fatalf("kind %d: wire %+v, %v", w.kind, wire, err)
+		}
+		if back, err := wire.CoreAction(); err != nil || back != a {
+			t.Errorf("kind %d: round trip %+v, %v", w.kind, back, err)
+		}
+	}
+	for _, k := range []core.ActionKind{0, core.SetInstanceShare + 1} {
+		if _, err := FromCoreAction(core.Action{Kind: k}); err == nil {
+			t.Errorf("kind %d has a wire form", k)
+		}
 	}
 }
 

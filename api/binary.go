@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -69,7 +70,8 @@ const (
 )
 
 // actionTypes lists the action types in the order of their one-byte
-// codes on the binary wire: actionTypes[i] is code i+1.
+// codes on the binary wire: actionTypes[i] is code i+1. core.ActionKind
+// numbers its kinds in the same order, so kind k is code k.
 var actionTypes = []string{ActionStartJob, ActionResumeJob, ActionSuspendJob, ActionMigrateJob,
 	ActionSetJobShare, ActionAddInstance, ActionRemoveInstance, ActionSetInstanceShare}
 
@@ -565,14 +567,7 @@ func (c *binCodec) end() {
 func (c *binCodec) actionType(tag string, t *string) {
 	switch {
 	case c.w != nil:
-		code := byte(0)
-		for i, name := range actionTypes {
-			if name == *t {
-				code = byte(i + 1)
-				break
-			}
-		}
-		c.w.buf = append(c.w.buf, code)
+		c.w.buf = append(c.w.buf, byte(slices.Index(actionTypes, *t)+1))
 	case c.r != nil:
 		code := c.r.byteVal()
 		if code == 0 || int(code) > len(actionTypes) {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"slaplace/internal/cluster"
@@ -290,52 +291,24 @@ func (a *App) coreInfo() (core.AppInfo, error) {
 	}, nil
 }
 
-// FromCoreAction converts one planner action to its wire form.
-func FromCoreAction(act core.Action) (Action, error) {
-	switch a := act.(type) {
-	case core.StartJob:
-		return Action{Type: ActionStartJob, Job: string(a.Job), Node: string(a.Node), ShareMHz: float64(a.Share)}, nil
-	case core.ResumeJob:
-		return Action{Type: ActionResumeJob, Job: string(a.Job), Node: string(a.Node), ShareMHz: float64(a.Share)}, nil
-	case core.SuspendJob:
-		return Action{Type: ActionSuspendJob, Job: string(a.Job)}, nil
-	case core.MigrateJob:
-		return Action{Type: ActionMigrateJob, Job: string(a.Job), Node: string(a.Dst), ShareMHz: float64(a.Share)}, nil
-	case core.SetJobShare:
-		return Action{Type: ActionSetJobShare, Job: string(a.Job), ShareMHz: float64(a.Share)}, nil
-	case core.AddInstance:
-		return Action{Type: ActionAddInstance, App: string(a.App), Node: string(a.Node), ShareMHz: float64(a.Share)}, nil
-	case core.RemoveInstance:
-		return Action{Type: ActionRemoveInstance, App: string(a.App), Node: string(a.Node)}, nil
-	case core.SetInstanceShare:
-		return Action{Type: ActionSetInstanceShare, App: string(a.App), Node: string(a.Node), ShareMHz: float64(a.Share)}, nil
-	default:
-		return Action{}, fmt.Errorf("api: action %T has no wire form", act)
+// FromCoreAction converts one planner action to its wire form: the
+// kind is the action's position in actionTypes.
+func FromCoreAction(a core.Action) (Action, error) {
+	if a.Kind < 1 || int(a.Kind) > len(actionTypes) {
+		return Action{}, fmt.Errorf("api: action kind %d has no wire form", a.Kind)
 	}
+	return Action{Type: actionTypes[a.Kind-1], Job: string(a.Job), App: string(a.App),
+		Node: string(a.Node), ShareMHz: float64(a.Share)}, nil
 }
 
 // CoreAction converts a wire action back to a planner action.
 func (a Action) CoreAction() (core.Action, error) {
-	switch a.Type {
-	case ActionStartJob:
-		return core.StartJob{Job: batch.JobID(a.Job), Node: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
-	case ActionResumeJob:
-		return core.ResumeJob{Job: batch.JobID(a.Job), Node: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
-	case ActionSuspendJob:
-		return core.SuspendJob{Job: batch.JobID(a.Job)}, nil
-	case ActionMigrateJob:
-		return core.MigrateJob{Job: batch.JobID(a.Job), Dst: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
-	case ActionSetJobShare:
-		return core.SetJobShare{Job: batch.JobID(a.Job), Share: res.CPU(a.ShareMHz)}, nil
-	case ActionAddInstance:
-		return core.AddInstance{App: trans.AppID(a.App), Node: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
-	case ActionRemoveInstance:
-		return core.RemoveInstance{App: trans.AppID(a.App), Node: cluster.NodeID(a.Node)}, nil
-	case ActionSetInstanceShare:
-		return core.SetInstanceShare{App: trans.AppID(a.App), Node: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
-	default:
-		return nil, fmt.Errorf("api: unknown action type %q", a.Type)
+	k := slices.Index(actionTypes, a.Type) + 1
+	if k == 0 {
+		return core.Action{}, fmt.Errorf("api: unknown action type %q", a.Type)
 	}
+	return core.Action{Kind: core.ActionKind(k), Job: batch.JobID(a.Job), App: trans.AppID(a.App),
+		Node: cluster.NodeID(a.Node), Share: res.CPU(a.ShareMHz)}, nil
 }
 
 // FromCorePlan converts a planner output to its wire form: the action
@@ -445,16 +418,12 @@ func jobPlacements(st *core.State, p *core.Plan) ([]JobPlacement, error) {
 		}
 		return &out[i]
 	}
-	for _, act := range p.Actions {
-		switch a := act.(type) {
-		case core.StartJob:
-			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Node), ShareMHz: float64(a.Share)}
-		case core.ResumeJob:
+	for _, a := range p.Actions {
+		switch a.Kind {
+		case core.StartJob, core.ResumeJob, core.MigrateJob:
 			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Node), ShareMHz: float64(a.Share)}
 		case core.SuspendJob:
 			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobSuspended}
-		case core.MigrateJob:
-			*at(a.Job) = JobPlacement{ID: string(a.Job), State: JobRunning, Node: string(a.Dst), ShareMHz: float64(a.Share)}
 		case core.SetJobShare:
 			at(a.Job).ShareMHz = float64(a.Share)
 		}

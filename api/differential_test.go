@@ -69,21 +69,21 @@ func randomPlanInput(r *rng.Stream, jobs int) (*core.State, *core.Plan) {
 		var act core.Action
 		switch r.Intn(8) {
 		case 0:
-			act = core.StartJob{Job: job, Node: node(), Share: share()}
+			act = core.Action{Kind: core.StartJob, Job: job, Node: node(), Share: share()}
 		case 1:
-			act = core.ResumeJob{Job: job, Node: node(), Share: share()}
+			act = core.Action{Kind: core.ResumeJob, Job: job, Node: node(), Share: share()}
 		case 2:
-			act = core.SuspendJob{Job: job}
+			act = core.Action{Kind: core.SuspendJob, Job: job}
 		case 3:
-			act = core.MigrateJob{Job: job, Dst: node(), Share: share()}
+			act = core.Action{Kind: core.MigrateJob, Job: job, Node: node(), Share: share()}
 		case 4:
-			act = core.SetJobShare{Job: job, Share: share()}
+			act = core.Action{Kind: core.SetJobShare, Job: job, Share: share()}
 		case 5:
-			act = core.AddInstance{App: app, Node: node(), Share: share()}
+			act = core.Action{Kind: core.AddInstance, App: app, Node: node(), Share: share()}
 		case 6:
-			act = core.RemoveInstance{App: app, Node: node()}
+			act = core.Action{Kind: core.RemoveInstance, App: app, Node: node()}
 		case 7:
-			act = core.SetInstanceShare{App: app, Node: node(), Share: share()}
+			act = core.Action{Kind: core.SetInstanceShare, App: app, Node: node(), Share: share()}
 		}
 		p.Actions = append(p.Actions, act)
 	}
@@ -121,10 +121,10 @@ func TestFromCorePlanMatchesAssignments(t *testing.T) {
 		}},
 		{"absentJobs", func(r *rng.Stream, _ *core.State, p *core.Plan) {
 			p.Actions = append(p.Actions,
-				core.SetJobShare{Job: "ghost-share", Share: 5},
-				core.StartJob{Job: "ghost-start", Node: "n1", Share: 9},
-				core.SetJobShare{Job: "ghost-start", Share: 11},
-				core.SuspendJob{Job: "a-ghost-sorting-first"})
+				core.Action{Kind: core.SetJobShare, Job: "ghost-share", Share: 5},
+				core.Action{Kind: core.StartJob, Job: "ghost-start", Node: "n1", Share: 9},
+				core.Action{Kind: core.SetJobShare, Job: "ghost-start", Share: 11},
+				core.Action{Kind: core.SuspendJob, Job: "a-ghost-sorting-first"})
 		}},
 		{"unwireableState", func(r *rng.Stream, st *core.State, p *core.Plan) {
 			// Completed has no wire form: an error, unless an action

@@ -68,7 +68,7 @@ func reserveWeb(st *core.State, plan *core.Plan, ledgers *core.Ledgers) {
 			if len(kept) < needed {
 				kept = append(kept, n)
 			} else {
-				plan.Actions = append(plan.Actions, core.RemoveInstance{App: app.ID, Node: n})
+				plan.Actions = append(plan.Actions, core.Action{Kind: core.RemoveInstance, App: app.ID, Node: n})
 			}
 		}
 		for _, n := range kept {
@@ -90,7 +90,7 @@ func reserveWeb(st *core.State, plan *core.Plan, ledgers *core.Ledgers) {
 				}
 				kept = append(kept, n)
 				l.BookMem(app.InstanceMem)
-				plan.Actions = append(plan.Actions, core.AddInstance{App: app.ID, Node: n})
+				plan.Actions = append(plan.Actions, core.Action{Kind: core.AddInstance, App: app.ID, Node: n})
 			}
 		}
 		if len(kept) == 0 {
@@ -104,16 +104,15 @@ func reserveWeb(st *core.State, plan *core.Plan, ledgers *core.Ledgers) {
 			plan.AppTarget[app.ID] += share
 		}
 		// Emit share adjustments / fill in AddInstance shares.
-		for i, a := range plan.Actions {
-			if add, ok := a.(core.AddInstance); ok && add.App == app.ID && add.Share == 0 {
-				add.Share = per
-				plan.Actions[i] = add
+		for i := range plan.Actions {
+			if a := &plan.Actions[i]; a.Kind == core.AddInstance && a.App == app.ID && a.Share == 0 {
+				a.Share = per
 			}
 		}
 		for _, n := range kept {
 			cur, had := app.Instances[n]
 			if had && math.Abs(float64(cur-per)) > 0.02*float64(app.MaxPerInstance) {
-				plan.Actions = append(plan.Actions, core.SetInstanceShare{App: app.ID, Node: n, Share: per})
+				plan.Actions = append(plan.Actions, core.Action{Kind: core.SetInstanceShare, App: app.ID, Node: n, Share: per})
 			}
 		}
 		plan.AppPrediction[app.ID] = app.Curve().UtilityAt(plan.AppTarget[app.ID])
@@ -146,7 +145,7 @@ func placeFullSpeed(st *core.State, plan *core.Plan, ledgers *core.Ledgers,
 				shares[j.ID] = res.Min(j.MaxSpeed, j.Share)
 				if j.Share < j.MaxSpeed {
 					// Baselines always run placed jobs at full speed.
-					plan.Actions = append(plan.Actions, core.SetJobShare{Job: j.ID, Share: j.MaxSpeed})
+					plan.Actions = append(plan.Actions, core.Action{Kind: core.SetJobShare, Job: j.ID, Share: j.MaxSpeed})
 					shares[j.ID] = j.MaxSpeed
 				}
 			}
@@ -170,7 +169,7 @@ func placeFullSpeed(st *core.State, plan *core.Plan, ledgers *core.Ledgers,
 				for _, v := range jobOrder {
 					if v.ID == victim {
 						suspended[victim] = true
-						plan.Actions = append(plan.Actions, core.SuspendJob{Job: victim})
+						plan.Actions = append(plan.Actions, core.Action{Kind: core.SuspendJob, Job: victim})
 						l, _ := ledgers.Get(v.Node)
 						l.Release(*v)
 						delete(shares, victim)
@@ -189,9 +188,9 @@ func placeFullSpeed(st *core.State, plan *core.Plan, ledgers *core.Ledgers,
 		l.Occupy(*j)
 		shares[j.ID] = j.MaxSpeed
 		if j.State == batch.Pending {
-			plan.Actions = append(plan.Actions, core.StartJob{Job: j.ID, Node: best, Share: j.MaxSpeed})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: best, Share: j.MaxSpeed})
 		} else {
-			plan.Actions = append(plan.Actions, core.ResumeJob{Job: j.ID, Node: best, Share: j.MaxSpeed})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.ResumeJob, Job: j.ID, Node: best, Share: j.MaxSpeed})
 		}
 	}
 	return shares

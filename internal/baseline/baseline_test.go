@@ -54,8 +54,8 @@ func collectJobNodes(st *core.State, plan *core.Plan) map[batch.JobID]cluster.No
 			out[j.ID] = j.Node
 		}
 	}
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
+	for _, a := range plan.Actions {
+		switch a.Kind {
 		case core.StartJob:
 			out[a.Job] = a.Node
 		case core.ResumeJob:
@@ -63,7 +63,7 @@ func collectJobNodes(st *core.State, plan *core.Plan) map[batch.JobID]cluster.No
 		case core.SuspendJob:
 			delete(out, a.Job)
 		case core.MigrateJob:
-			out[a.Job] = a.Dst
+			out[a.Job] = a.Node
 		}
 	}
 	return out
@@ -83,8 +83,8 @@ func TestStaticPartitionSeparatesWorkloads(t *testing.T) {
 		}
 	}
 	var webNodes []cluster.NodeID
-	for _, act := range plan.Actions {
-		if a, ok := act.(core.AddInstance); ok {
+	for _, a := range plan.Actions {
+		if a.Kind == core.AddInstance {
 			webNodes = append(webNodes, a.Node)
 		}
 	}
@@ -127,7 +127,7 @@ func TestFCFSPlacesInArrivalOrderWithoutPreemption(t *testing.T) {
 	if _, placed := jobNodes["urgent"]; placed {
 		t.Error("FCFS placed the late-arriving urgent job over earlier arrivals")
 	}
-	starts, _, suspends, _, _, _, _, _ := plan.CountActions()
+	starts, suspends := plan.Count(core.StartJob), plan.Count(core.SuspendJob)
 	if starts != 3 || suspends != 0 {
 		t.Errorf("starts=%d suspends=%d", starts, suspends)
 	}
@@ -146,8 +146,8 @@ func TestEDFPreemptsForEarlierDeadline(t *testing.T) {
 	}
 	plan := c.Plan(st)
 	var suspendedID batch.JobID
-	for _, act := range plan.Actions {
-		if a, ok := act.(core.SuspendJob); ok {
+	for _, a := range plan.Actions {
+		if a.Kind == core.SuspendJob {
 			suspendedID = a.Job
 		}
 	}
@@ -165,8 +165,8 @@ func TestEDFRunsJobsAtFullSpeed(t *testing.T) {
 	st := &core.State{Now: 0, Nodes: nodes(2)}
 	st.Jobs = []core.JobInfo{job("j", batch.Pending, "", 0, 0, 9000)}
 	plan := c.Plan(st)
-	for _, act := range plan.Actions {
-		if a, ok := act.(core.StartJob); ok && a.Share != 4500 {
+	for _, a := range plan.Actions {
+		if a.Kind == core.StartJob && a.Share != 4500 {
 			t.Errorf("EDF start share %v, want full speed", a.Share)
 		}
 	}
@@ -180,8 +180,8 @@ func TestFairShareDividesEqually(t *testing.T) {
 		st.Jobs = append(st.Jobs, job(string(rune('1'+i)), batch.Pending, "", 0, float64(i), 90000))
 	}
 	plan := c.Plan(st)
-	for _, act := range plan.Actions {
-		if a, ok := act.(core.StartJob); ok {
+	for _, a := range plan.Actions {
+		if a.Kind == core.StartJob {
 			// Jobs capped at max speed 4500 < 9000.
 			if a.Share != 4500 {
 				t.Errorf("fair-share job share %v, want speed cap 4500", a.Share)
@@ -235,7 +235,7 @@ func TestBaselinesIgnoreJobsOnUnknownNodes(t *testing.T) {
 	for _, c := range ctrls {
 		plan := c.Plan(st) // must not panic
 		for _, act := range plan.Actions {
-			switch act.(type) {
+			switch act.Kind {
 			case core.StartJob, core.ResumeJob, core.SuspendJob, core.MigrateJob:
 				t.Errorf("%s acted on ghost job: %v", c.Name(), act)
 			}
@@ -255,7 +255,7 @@ func TestBaselineKeepsRunningJobs(t *testing.T) {
 		if jobNodes["j"] != "a" {
 			t.Errorf("%s moved a running job", c.Name())
 		}
-		_, _, _, migs, _, _, _, _ := plan.CountActions()
+		migs := plan.Count(core.MigrateJob)
 		if migs != 0 {
 			t.Errorf("%s migrated", c.Name())
 		}
@@ -285,8 +285,8 @@ func TestEDFNeverSuspendsSameVictimTwice(t *testing.T) {
 
 	suspends := map[batch.JobID]int{}
 	starts := 0
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
+	for _, a := range plan.Actions {
+		switch a.Kind {
 		case core.SuspendJob:
 			suspends[a.Job]++
 		case core.StartJob:

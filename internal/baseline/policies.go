@@ -174,7 +174,7 @@ func (FairShare) Plan(st *core.State) *core.Plan {
 			}
 			kept = append(kept, n)
 			l.BookMem(app.InstanceMem)
-			plan.Actions = append(plan.Actions, core.AddInstance{App: app.ID, Node: n, Share: target / res.CPU(needed)})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.AddInstance, App: app.ID, Node: n, Share: target / res.CPU(needed)})
 		}
 		if len(kept) == 0 {
 			continue
@@ -186,7 +186,7 @@ func (FairShare) Plan(st *core.State) *core.Plan {
 			plan.AppTarget[app.ID] += per
 			cur, had := app.Instances[n]
 			if had && !res.AlmostEqual(cur, per) {
-				plan.Actions = append(plan.Actions, core.SetInstanceShare{App: app.ID, Node: n, Share: per})
+				plan.Actions = append(plan.Actions, core.Action{Kind: core.SetInstanceShare, App: app.ID, Node: n, Share: per})
 			}
 		}
 		plan.AppPrediction[app.ID] = curve.UtilityAt(plan.AppTarget[app.ID])
@@ -209,7 +209,7 @@ func (FairShare) Plan(st *core.State) *core.Plan {
 				// Residency already accounted by SeedRunning.
 				shares[j.ID] = share
 				if !res.AlmostEqual(share, j.Share) {
-					plan.Actions = append(plan.Actions, core.SetJobShare{Job: j.ID, Share: share})
+					plan.Actions = append(plan.Actions, core.Action{Kind: core.SetJobShare, Job: j.ID, Share: share})
 				}
 			}
 			continue
@@ -229,9 +229,9 @@ func (FairShare) Plan(st *core.State) *core.Plan {
 		l.Occupy(*j)
 		shares[j.ID] = share
 		if j.State == batch.Pending {
-			plan.Actions = append(plan.Actions, core.StartJob{Job: j.ID, Node: best, Share: share})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: best, Share: share})
 		} else {
-			plan.Actions = append(plan.Actions, core.ResumeJob{Job: j.ID, Node: best, Share: share})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.ResumeJob, Job: j.ID, Node: best, Share: share})
 		}
 	}
 	core.RecordJobUtility(st, plan, shares)

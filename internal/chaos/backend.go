@@ -101,9 +101,8 @@ func (b *Backend) Enact(plan *core.Plan) {
 		}
 	}
 	if rec := b.opts.Recorder; rec != nil && b.lastSnap != nil {
-		_, _, suspends, migrations, _, _, _, _ := plan.CountActions()
-		rec.Series("chaos/planMigrations").Add(b.lastSnap.Now, float64(migrations))
-		rec.Series("chaos/planSuspends").Add(b.lastSnap.Now, float64(suspends))
+		rec.Series("chaos/planMigrations").Add(b.lastSnap.Now, float64(plan.Count(core.MigrateJob)))
+		rec.Series("chaos/planSuspends").Add(b.lastSnap.Now, float64(plan.Count(core.SuspendJob)))
 	}
 	b.inner.Enact(plan)
 }

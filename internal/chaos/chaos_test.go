@@ -366,13 +366,13 @@ func TestBackendAuditAndSeries(t *testing.T) {
 	st := cb.Snapshot(0, 100)
 	cb.Observe(rec, st, 100)
 	// A sound plan passes the audit.
-	cb.Enact(&core.Plan{Actions: []core.Action{core.SuspendJob{Job: "job-a"}}})
+	cb.Enact(&core.Plan{Actions: []core.Action{{Kind: core.SuspendJob, Job: "job-a"}}})
 	if b.Violations() != 0 {
 		t.Fatalf("sound plan flagged: %s", b.FirstViolation())
 	}
 	// A plan referencing an unknown job fails it.
 	st = cb.Snapshot(100, 200)
-	cb.Enact(&core.Plan{Actions: []core.Action{core.SuspendJob{Job: "ghost"}}})
+	cb.Enact(&core.Plan{Actions: []core.Action{{Kind: core.SuspendJob, Job: "ghost"}}})
 	if b.Violations() != 1 || b.FirstViolation() == "" || len(seen) != 1 {
 		t.Fatalf("violation not recorded: n=%d first=%q callbacks=%d",
 			b.Violations(), b.FirstViolation(), len(seen))

@@ -16,7 +16,7 @@ import (
 // ClusterBackend abstracts the world a control cycle manages. The
 // session (session.go) drives the same monitor → plan → actuate cycle
 // over any backend; the simulator is one implementation (SimBackend)
-// and a wire-fed remote cluster is another (WireBackend).
+// and the chaos package's fault injector wraps it as another.
 type ClusterBackend interface {
 	// Snapshot builds the monitoring state at time now; (t0, now] is
 	// the elapsed observation window for monitored estimates.
@@ -160,44 +160,24 @@ func (b *SimBackend) Observe(rec *metrics.Recorder, st *core.State, now float64)
 	rec.Series("ops/suspends").Add(now, float64(cnt.Suspends))
 }
 
-// Enact implements ClusterBackend with two-phase ordering.
+// Enact implements ClusterBackend with two-phase ordering: actions
+// that free memory and share changes at once, placements after the
+// actuation delay.
 func (b *SimBackend) Enact(plan *core.Plan) {
 	var deferred []core.Action
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
-		case core.SuspendJob:
-			b.try(b.jobs.Suspend(a.Job))
-		case core.RemoveInstance:
-			b.try(b.removeInstance(a))
-		case core.SetJobShare:
-			b.try(b.jobs.SetShare(a.Job, a.Share))
-		case core.SetInstanceShare:
-			b.try(b.setInstanceShare(a))
-		default:
-			deferred = append(deferred, act)
+	for _, a := range plan.Actions {
+		if a.Frees() || a.Kind == core.SetJobShare || a.Kind == core.SetInstanceShare {
+			b.try(b.enact(a))
+		} else {
+			deferred = append(deferred, a)
 		}
 	}
 	if len(deferred) == 0 {
 		return
 	}
 	enact := func(sim.Time) {
-		for _, act := range deferred {
-			switch a := act.(type) {
-			case core.StartJob:
-				b.try(b.jobs.Start(a.Job, a.Node, a.Share))
-			case core.ResumeJob:
-				b.try(b.jobs.Resume(a.Job, a.Node, a.Share))
-			case core.MigrateJob:
-				if err := b.jobs.Migrate(a.Job, a.Dst); err != nil {
-					b.try(err)
-					continue
-				}
-				b.try(b.jobs.SetShare(a.Job, a.Share))
-			case core.AddInstance:
-				b.try(b.addInstance(a))
-			default:
-				panic(fmt.Sprintf("control: unhandled deferred action %T", act))
-			}
+		for _, a := range deferred {
+			b.try(b.enact(a))
 		}
 	}
 	if b.actuationDelay == 0 {
@@ -205,6 +185,37 @@ func (b *SimBackend) Enact(plan *core.Plan) {
 		return
 	}
 	b.eng.After(b.actuationDelay, "actuate/"+b.label, enact)
+}
+
+// enact carries out one action on the simulated world.
+func (b *SimBackend) enact(a core.Action) error {
+	switch a.Kind {
+	case core.StartJob:
+		return b.jobs.Start(a.Job, a.Node, a.Share)
+	case core.ResumeJob:
+		return b.jobs.Resume(a.Job, a.Node, a.Share)
+	case core.SuspendJob:
+		return b.jobs.Suspend(a.Job)
+	case core.MigrateJob:
+		if err := b.jobs.Migrate(a.Job, a.Node); err != nil {
+			return err
+		}
+		return b.jobs.SetShare(a.Job, a.Share)
+	case core.SetJobShare:
+		return b.jobs.SetShare(a.Job, a.Share)
+	case core.AddInstance, core.RemoveInstance, core.SetInstanceShare:
+		app, err := b.appOf(a.App)
+		switch {
+		case err != nil:
+			return err
+		case a.Kind == core.AddInstance:
+			return app.AddInstance(a.Node, a.Share)
+		case a.Kind == core.RemoveInstance:
+			return app.RemoveInstance(a.Node)
+		}
+		return app.SetInstanceShare(a.Node, a.Share)
+	}
+	panic(fmt.Sprintf("control: unhandled action %v", a))
 }
 
 // FailedActions implements ClusterBackend.
@@ -228,30 +239,6 @@ func (b *SimBackend) appOf(id trans.AppID) (*trans.App, error) {
 		return nil, fmt.Errorf("control: unknown app %q", id)
 	}
 	return a, nil
-}
-
-func (b *SimBackend) addInstance(a core.AddInstance) error {
-	app, err := b.appOf(a.App)
-	if err != nil {
-		return err
-	}
-	return app.AddInstance(a.Node, a.Share)
-}
-
-func (b *SimBackend) removeInstance(a core.RemoveInstance) error {
-	app, err := b.appOf(a.App)
-	if err != nil {
-		return err
-	}
-	return app.RemoveInstance(a.Node)
-}
-
-func (b *SimBackend) setInstanceShare(a core.SetInstanceShare) error {
-	app, err := b.appOf(a.App)
-	if err != nil {
-		return err
-	}
-	return app.SetInstanceShare(a.Node, a.Share)
 }
 
 // Sample records fine-grained series between control cycles.

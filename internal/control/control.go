@@ -11,11 +11,11 @@
 //     one plan to the next; plan scratch is shared by all sessions and
 //     sized by the peak number of plans in flight — and drives the generic monitor → plan →
 //     actuate cycle over any ClusterBackend. Its Propose/ProposeDelta
-//     methods speak the versioned wire schema of package api.
+//     methods speak the versioned wire schema of package api: the
+//     snapshot arrives over the wire and the plan is shipped back for
+//     remote actuation.
 //   - ClusterBackend abstracts the managed world. SimBackend adapts
-//     the discrete-event simulator (the paper's testbed stand-in);
-//     WireBackend adapts a remote cluster whose snapshots arrive over
-//     the wire and whose plans are shipped back for remote actuation.
+//     the discrete-event simulator (the paper's testbed stand-in).
 //   - Loop schedules periodic cycles of a Session over a SimBackend on
 //     the event engine — the batch-experiment harness.
 //

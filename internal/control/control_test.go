@@ -388,7 +388,7 @@ func TestSnapshotMarksMigratingJobs(t *testing.T) {
 	// The planner must not issue another migration for it.
 	plan := core.New(core.DefaultConfig()).Plan(st)
 	for _, a := range plan.Actions {
-		if _, ok := a.(core.MigrateJob); ok {
+		if a.Kind == core.MigrateJob {
 			t.Errorf("planner migrated an already-migrating job: %v", a)
 		}
 	}

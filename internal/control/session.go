@@ -38,12 +38,13 @@ type Session struct {
 
 	cycles int
 
-	// wire is the lazily created backend behind Propose/ProposeDelta;
-	// hasNow/lastNow enforce monotonic snapshot time on the wire path.
-	// wirePlan is the wire form of the backend's last plan — built by
-	// the last Propose, or handed in by the checkpoint a restore was
-	// given — kept so Export does not convert the same plan again.
-	wire     *WireBackend
+	// state is the last snapshot planned on the wire path
+	// (Propose/ProposeDelta), the base of the next delta; hasNow/lastNow
+	// enforce monotonic snapshot time on that path. wirePlan is the wire
+	// form of its plan — built by the last Propose, or handed in by the
+	// checkpoint a restore was given — and what Export checkpoints; nil
+	// when the last plan had no wire form.
+	state    *core.State
 	wirePlan *api.Plan
 	hasNow   bool
 	lastNow  float64
@@ -121,7 +122,7 @@ func (s *Session) ForecastConfig() (forecast.Config, bool) {
 // be planned. With forecasting disabled it returns the state untouched
 // — the reactive path stays bit-for-bit identical. Otherwise it
 // returns a copy whose apps carry predicted Lambda; the original state
-// (retained by the wire backend, exported into checkpoints) keeps the
+// (retained by the wire path, exported into checkpoints) keeps the
 // observed rates, so a restore can re-run this exact substitution.
 func (s *Session) applyForecast(st *core.State, rec *metrics.Recorder) *core.State {
 	if s.fc == nil || len(st.Apps) == 0 {
@@ -217,10 +218,6 @@ func (s *Session) recordCycle(rec *metrics.Recorder, st *core.State,
 func (s *Session) Cycle(b ClusterBackend, rec *metrics.Recorder, t0, now float64) (*core.Plan, core.PlanStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cycle(b, rec, t0, now)
-}
-
-func (s *Session) cycle(b ClusterBackend, rec *metrics.Recorder, t0, now float64) (*core.Plan, core.PlanStats) {
 	st := b.Snapshot(t0, now)
 	if rec != nil {
 		b.Observe(rec, st, now)
@@ -257,19 +254,15 @@ func (s *Session) Export() (*api.Checkpoint, error) {
 		ck.Shards = sc.Shards()
 		ck.ShardBounds, ck.ShardReshards = sc.ExportBounds()
 	}
-	if s.wire != nil && s.wire.LastState() != nil {
-		snap, err := api.FromCoreState(s.wire.LastState())
+	if s.state != nil {
+		snap, err := api.FromCoreState(s.state)
 		if err != nil {
 			return nil, fmt.Errorf("control: export snapshot: %w", err)
 		}
-		plan := s.wirePlan
-		if plan == nil { // the last Propose could not convert its plan
-			plan, err = api.FromCorePlan(s.wire.LastState(), s.wire.LastPlan())
-			if err != nil {
-				return nil, fmt.Errorf("control: export plan: %w", err)
-			}
+		if s.wirePlan == nil {
+			return nil, fmt.Errorf("control: export plan: the last plan has no wire form")
 		}
-		ck.Snapshot, ck.Plan = snap, plan
+		ck.Snapshot, ck.Plan = snap, s.wirePlan
 	} else if s.cycles > 0 {
 		return nil, fmt.Errorf("control: session has no wire state to checkpoint (driven through Cycle?)")
 	}
@@ -327,14 +320,12 @@ func RestoreSession(ctrl core.Controller, ck *api.Checkpoint) (*Session, error) 
 		if err != nil {
 			return nil, fmt.Errorf("control: checkpoint snapshot: %w", err)
 		}
-		s.wire = &WireBackend{}
-		s.wire.Push(st)
+		s.state = st
 		// The snapshot carries observed demand; re-applying the forecast
 		// stage reproduces the exact predicted state the checkpointed
 		// plan was computed from (and advances the restored forecaster to
 		// its live post-cycle state).
 		plan, _ := s.plan(s.applyForecast(st, nil))
-		s.wire.Enact(plan)
 		want, err := ck.Plan.CorePlan()
 		if err != nil {
 			return nil, fmt.Errorf("control: checkpoint plan: %w", err)
@@ -372,14 +363,14 @@ func (s *Session) Propose(snap *api.Snapshot) (*api.Plan, core.PlanStats, error)
 func (s *Session) ProposeDelta(d *api.SnapshotDelta) (*api.Plan, core.PlanStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wire == nil || s.wire.LastState() == nil {
+	if s.state == nil {
 		return nil, core.PlanStats{}, ErrNoBaseSnapshot
 	}
 	if d.BaseCycle != s.cycles {
 		return nil, core.PlanStats{}, fmt.Errorf("%w: base %d, session at %d",
 			ErrBaseCycleMismatch, d.BaseCycle, s.cycles)
 	}
-	st, err := d.ApplyTo(s.wire.LastState())
+	st, err := d.ApplyTo(s.state)
 	if err != nil {
 		return nil, core.PlanStats{}, err
 	}
@@ -399,11 +390,8 @@ func (s *Session) proposeLocked(st *core.State) (*api.Plan, core.PlanStats, erro
 		return nil, core.PlanStats{}, fmt.Errorf("%w: %v after %v",
 			ErrTimeRegression, st.Now, s.lastNow)
 	}
-	if s.wire == nil {
-		s.wire = &WireBackend{}
-	}
-	s.wire.Push(st)
-	plan, stats := s.cycle(s.wire, nil, s.lastNow, st.Now)
+	s.state = st
+	plan, stats := s.plan(s.applyForecast(st, nil))
 	s.hasNow, s.lastNow = true, st.Now
 	wire, err := api.FromCorePlan(st, plan)
 	s.wirePlan = wire

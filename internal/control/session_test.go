@@ -11,6 +11,7 @@ import (
 	"slaplace/api"
 	"slaplace/internal/cluster"
 	"slaplace/internal/core"
+	"slaplace/internal/metrics"
 	"slaplace/internal/queueing"
 	"slaplace/internal/res"
 	"slaplace/internal/shard"
@@ -259,7 +260,7 @@ func (fcfsLike) Plan(st *core.State) *core.Plan {
 			if placed || l.FreeMem() < j.Mem {
 				return
 			}
-			plan.Actions = append(plan.Actions, core.StartJob{Job: j.ID, Node: l.Info.ID, Share: j.MaxSpeed})
+			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: l.Info.ID, Share: j.MaxSpeed})
 			l.Occupy(*j)
 			shares[j.ID] = j.MaxSpeed
 			placed = true
@@ -372,7 +373,7 @@ func TestSessionExportRestore(t *testing.T) {
 
 // TestSessionExportReusesWirePlan: Export checkpoints the wire plan the
 // last Propose returned — the same value, not a second conversion — and
-// that value is what a conversion of the backend's plan would give;
+// that value is what a conversion of the session's plan would give;
 // after a restore it is the checkpoint's own plan until the next cycle
 // replaces it.
 func TestSessionExportReusesWirePlan(t *testing.T) {
@@ -387,12 +388,14 @@ func TestSessionExportReusesWirePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := api.FromCorePlan(s.wire.LastState(), s.wire.LastPlan())
+		// Every tier plans as from scratch: a fresh controller given the
+		// session's snapshot reproduces the session's plan.
+		want, err := api.FromCorePlan(s.state, core.New(core.DefaultConfig()).Plan(s.state))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ck.Plan, want) {
-			t.Fatalf("checkpointed plan is not the backend's plan:\n got %+v\nwant %+v", ck.Plan, want)
+			t.Fatalf("checkpointed plan is not the session's plan:\n got %+v\nwant %+v", ck.Plan, want)
 		}
 		return ck.Plan
 	}
@@ -491,13 +494,20 @@ func TestSessionRestoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := &WireBackend{}
-	wb.Push(st)
-	cycled.Cycle(wb, nil, 0, st.Now)
+	cycled.Cycle(fixedBackend{st}, nil, 0, st.Now)
 	if _, err := cycled.Export(); err == nil {
 		t.Error("Cycle-driven session exported a checkpoint with no wire state")
 	}
 }
+
+// fixedBackend is a ClusterBackend that serves one snapshot and enacts
+// nothing.
+type fixedBackend struct{ st *core.State }
+
+func (b fixedBackend) Snapshot(t0, now float64) *core.State          { return b.st }
+func (fixedBackend) Observe(*metrics.Recorder, *core.State, float64) {}
+func (fixedBackend) Enact(*core.Plan)                                {}
+func (fixedBackend) FailedActions() int                              { return 0 }
 
 // TestSessionShardedController: a Session owns a sharded controller
 // behind the unchanged Propose API. K=1 must be byte-identical to a

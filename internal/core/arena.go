@@ -23,12 +23,16 @@ type planScratch struct {
 	// evictable holds the eviction walk's candidate positions.
 	evictable []int32
 
-	// Web-placement per-app scratch: the current-instance ranking, the
-	// kept-node list, the popped-candidate stack, and the kept-node set.
-	webCur    []webInst
-	webKept   []cluster.NodeID
-	webPopped []*Ledger
-	hasInst   map[cluster.NodeID]bool
+	// Web-placement scratch: every app's current-instance ranking, app
+	// i's at [webAt[i], webAt[i+1]), and the kept instances' memory not
+	// yet booked, by Ledger.pos; then, per app, the kept-node list, the
+	// popped-candidate stack, and the kept-node set.
+	webCur     []webInst
+	webAt      []int
+	webPending []res.Memory
+	webKept    []cluster.NodeID
+	webPopped  []*Ledger
+	hasInst    map[cluster.NodeID]bool
 
 	// Share-phase scratch: the per-node waterfill buffers and the
 	// surplus spreader's sorted app-ID list (one of each call per node
@@ -56,7 +60,8 @@ type planScratch struct {
 // the peak number of plans in flight (client concurrency × shards),
 // however many idle controllers the process holds. Every pass
 // overwrites what it reads, whichever cluster used the arena last, and
-// nothing handed to the caller (the Plan and its actions) aliases it.
+// nothing handed to the caller (the Plan and its actions, copied out
+// of the arena's buffer) aliases it.
 type planArena struct {
 	scratch planScratch
 
@@ -80,6 +85,9 @@ type planArena struct {
 	eqScratch    utility.EqualizeScratch
 
 	appTarget map[trans.AppID]res.CPU
+
+	// actions is the buffer the phases emit the plan's actions into.
+	actions []Action
 }
 
 // arenas is the free list of plan arenas: LIFO, so a lone session gets
@@ -137,9 +145,11 @@ func (c *PlacementController) context(st *State, a *planArena) *planContext {
 		c.ledgers.reset()
 	}
 	clear(a.appTarget)
+	plan := NewPlan()
+	plan.Actions = a.actions[:0]
 	return &planContext{
 		st:        st,
-		plan:      NewPlan(),
+		plan:      plan,
 		ledgers:   c.ledgers,
 		arena:     a,
 		appTarget: a.appTarget,

@@ -37,16 +37,12 @@ func (p *Plan) JobAssignments(st *State) map[batch.JobID]JobAssignment {
 		}
 		out[j.ID] = a
 	}
-	for _, act := range p.Actions {
-		switch a := act.(type) {
-		case StartJob:
-			out[a.Job] = JobAssignment{State: batch.Running, Node: a.Node, Share: a.Share}
-		case ResumeJob:
+	for _, a := range p.Actions {
+		switch a.Kind {
+		case StartJob, ResumeJob, MigrateJob:
 			out[a.Job] = JobAssignment{State: batch.Running, Node: a.Node, Share: a.Share}
 		case SuspendJob:
 			out[a.Job] = JobAssignment{State: batch.Suspended}
-		case MigrateJob:
-			out[a.Job] = JobAssignment{State: batch.Running, Node: a.Dst, Share: a.Share}
 		case SetJobShare:
 			cur := out[a.Job]
 			cur.Share = a.Share
@@ -69,8 +65,8 @@ func (p *Plan) AppAssignments(st *State) map[trans.AppID]map[cluster.NodeID]res.
 		}
 		out[a.ID] = inst
 	}
-	for _, act := range p.Actions {
-		switch a := act.(type) {
+	for _, a := range p.Actions {
+		switch a.Kind {
 		case AddInstance:
 			if out[a.App] == nil {
 				out[a.App] = make(map[cluster.NodeID]res.CPU)

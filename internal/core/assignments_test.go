@@ -28,11 +28,11 @@ func TestJobAssignmentsSemantics(t *testing.T) {
 		},
 	}
 	plan := &Plan{Actions: []Action{
-		SuspendJob{Job: "susp"},
-		MigrateJob{Job: "mig", Dst: "n2", Share: 3500},
-		SetJobShare{Job: "reshare", Share: 500},
-		StartJob{Job: "start", Node: "n2", Share: 700},
-		ResumeJob{Job: "resume", Node: "n1", Share: 800},
+		{Kind: SuspendJob, Job: "susp"},
+		{Kind: MigrateJob, Job: "mig", Node: "n2", Share: 3500},
+		{Kind: SetJobShare, Job: "reshare", Share: 500},
+		{Kind: StartJob, Job: "start", Node: "n2", Share: 700},
+		{Kind: ResumeJob, Job: "resume", Node: "n1", Share: 800},
 	}}
 	got := plan.JobAssignments(st)
 	want := map[batch.JobID]JobAssignment{
@@ -65,10 +65,10 @@ func TestAppAssignmentsSemantics(t *testing.T) {
 		},
 	}
 	plan := &Plan{Actions: []Action{
-		RemoveInstance{App: "web", Node: "n2"},
-		AddInstance{App: "web", Node: "n3", Share: 1500},
-		SetInstanceShare{App: "web", Node: "n1", Share: 1200},
-		AddInstance{App: "other", Node: "n1", Share: 300},
+		{Kind: RemoveInstance, App: "web", Node: "n2"},
+		{Kind: AddInstance, App: "web", Node: "n3", Share: 1500},
+		{Kind: SetInstanceShare, App: "web", Node: "n1", Share: 1200},
+		{Kind: AddInstance, App: "other", Node: "n1", Share: 300},
 	}}
 	got := plan.AppAssignments(st)
 	web := got["web"]
@@ -115,8 +115,8 @@ func TestAssignmentsAgreeWithPipeline(t *testing.T) {
 	if len(got) != len(st.Jobs) {
 		t.Fatalf("%d assignments for %d jobs", len(got), len(st.Jobs))
 	}
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
+	for _, a := range plan.Actions {
+		switch a.Kind {
 		case StartJob:
 			if g := got[a.Job]; g.State != batch.Running || g.Node != a.Node || g.Share != a.Share {
 				t.Errorf("started job %s assignment %+v", a.Job, g)

@@ -22,7 +22,7 @@ func (c *PlacementController) phaseEmit(ctx *planContext) {
 		}
 	})
 	c.emitWebShares(ctx)
-	c.emitJobActions(plan, ctx.planned)
+	c.emitJobActions(ctx)
 
 	// Predictions for the recorder.
 	for i := range st.Apps {
@@ -50,10 +50,9 @@ func (c *PlacementController) emitWebShares(ctx *planContext) {
 		return s, ok
 	}
 	// Rewrite AddInstance actions with final shares.
-	for i, a := range plan.Actions {
-		if add, ok := a.(AddInstance); ok {
-			add.Share, _ = plannedShare(add.App, add.Node)
-			plan.Actions[i] = add
+	for i := range plan.Actions {
+		if a := &plan.Actions[i]; a.Kind == AddInstance {
+			a.Share, _ = plannedShare(a.App, a.Node)
 		}
 	}
 	// Share changes for kept instances.
@@ -68,35 +67,66 @@ func (c *PlacementController) emitWebShares(ctx *planContext) {
 			cur := app.Instances[n]
 			tol := res.CPU(c.cfg.ShareTolerance) * app.MaxPerInstance
 			if res.CPU(math.Abs(float64(target-cur))) > tol {
-				plan.Actions = append(plan.Actions, SetInstanceShare{App: app.ID, Node: n, Share: target})
+				plan.Actions = append(plan.Actions, Action{Kind: SetInstanceShare, App: app.ID, Node: n, Share: target})
 			}
 		}
 	}
 }
 
-// emitJobActions translates planning records into the action list.
-func (c *PlacementController) emitJobActions(plan *Plan, planned []*PlannedJob) {
-	// Suspends first: the executor frees memory before filling it.
-	for _, pj := range planned {
-		if pj.Suspend {
-			plan.Actions = append(plan.Actions, SuspendJob{Job: pj.Info.ID})
-		}
+// emitJobActions translates planning records into the action list. A
+// running job's share change within ShareTolerance of its speed cap is
+// not worth an action, so it is suppressed — unless the node's job tier
+// as enacted, every suppressed change left at its current share, would
+// exceed the node's CPU: then that node's in-tolerance reductions are
+// emitted too, because the placements they made room for are.
+func (c *PlacementController) emitJobActions(ctx *planContext) {
+	plan := ctx.plan
+	// changed reports whether a running job's share moves beyond
+	// tolerance.
+	changed := func(pj *PlannedJob) bool {
+		tol := res.CPU(c.cfg.ShareTolerance) * pj.Info.MaxSpeed
+		return res.CPU(math.Abs(float64(pj.Share-pj.Info.Share))) > tol
 	}
-	for _, pj := range planned {
-		switch {
-		case pj.Suspend, pj.Waiting:
-			// No placement this cycle.
-		case pj.PlacedNew && pj.Info.State == batch.Pending:
-			plan.Actions = append(plan.Actions, StartJob{Job: pj.Info.ID, Node: pj.Node, Share: pj.Share})
-		case pj.PlacedNew && pj.Info.State == batch.Suspended:
-			plan.Actions = append(plan.Actions, ResumeJob{Job: pj.Info.ID, Node: pj.Node, Share: pj.Share})
-		case pj.Migrate:
-			plan.Actions = append(plan.Actions, MigrateJob{Job: pj.Info.ID, Dst: pj.Node, Share: pj.Share})
-		case pj.Info.State == batch.Running:
-			tol := res.CPU(c.cfg.ShareTolerance) * pj.Info.MaxSpeed
-			if res.CPU(math.Abs(float64(pj.Share-pj.Info.Share))) > tol {
-				plan.Actions = append(plan.Actions, SetJobShare{Job: pj.Info.ID, Share: pj.Share})
+	for _, l := range ctx.ledgers.list {
+		l.jobCPU = 0
+		for _, pj := range l.Jobs {
+			if !pj.PlacedNew && !pj.Migrate && !changed(pj) {
+				l.jobCPU += pj.Info.Share
+			} else {
+				l.jobCPU += pj.Share
 			}
 		}
+	}
+	// overCPU reports whether the node's enacted job tier exceeds its
+	// CPU, with CheckPlan's rounding allowance.
+	overCPU := func(node cluster.NodeID) bool {
+		l, ok := ctx.ledgers.Get(node)
+		return ok && float64(l.jobCPU) > float64(l.Info.CPU)*(1+1e-9)
+	}
+
+	// Suspends first: the executor frees memory before filling it.
+	for _, pj := range ctx.planned {
+		if pj.Suspend {
+			plan.Actions = append(plan.Actions, Action{Kind: SuspendJob, Job: pj.Info.ID})
+		}
+	}
+	for _, pj := range ctx.planned {
+		a := Action{Job: pj.Info.ID, Node: pj.Node, Share: pj.Share}
+		switch {
+		case pj.Suspend, pj.Waiting:
+			continue // no placement this cycle
+		case pj.PlacedNew && pj.Info.State == batch.Pending:
+			a.Kind = StartJob
+		case pj.PlacedNew && pj.Info.State == batch.Suspended:
+			a.Kind = ResumeJob
+		case pj.Migrate:
+			a.Kind = MigrateJob
+		case pj.Info.State == batch.Running &&
+			(changed(pj) || (pj.Share < pj.Info.Share && overCPU(pj.Node))):
+			a.Kind, a.Node = SetJobShare, ""
+		default:
+			continue
+		}
+		plan.Actions = append(plan.Actions, a)
 	}
 }

@@ -134,7 +134,11 @@ func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 		m.apps[i] = st.Apps[i]
 		m.apps[i].Instances = inst
 	}
-	m.plan = clonePlan(ctx.plan)
+	var buf []Action // the memo's previous actions, overwritten in place
+	if m.plan != nil {
+		buf = m.plan.Actions
+	}
+	m.plan = clonePlan(ctx.plan, buf)
 	m.order = m.order[:0]
 	for _, pj := range ctx.order {
 		m.order = append(m.order, pj.idx)
@@ -166,7 +170,7 @@ func (c *PlacementController) replayMemo(st *State) *Plan {
 			return nil
 		}
 	}
-	return clonePlan(m.plan)
+	return clonePlan(m.plan, nil)
 }
 
 // jobInfoEqual compares every field that can influence a plan.
@@ -213,10 +217,11 @@ func ifaceEqual(a, b any) bool {
 }
 
 // clonePlan deep-copies a plan so cached and returned plans never share
-// mutable structure with each other or with the planning pass.
-func clonePlan(p *Plan) *Plan {
+// mutable structure with each other or with the planning pass. The
+// copy's actions reuse buf's backing array when it is large enough.
+func clonePlan(p *Plan, buf []Action) *Plan {
 	cp := *p
-	cp.Actions = append([]Action(nil), p.Actions...)
+	cp.Actions = append(buf[:0], p.Actions...)
 	cp.ClassHypoUtility = cloneFloatMap(p.ClassHypoUtility)
 	cp.AppPrediction = cloneFloatMap(p.AppPrediction)
 	cp.AppDemand = cloneCPUMap(p.AppDemand)

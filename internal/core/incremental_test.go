@@ -279,12 +279,12 @@ func TestEvictVictimSkipsStrandedJob(t *testing.T) {
 		res.Work(4500*1000), 2200, 500))
 
 	plan := New(DefaultConfig()).Plan(st) // must not panic
-	starts, _, suspends, _, _, _, _, _ := plan.CountActions()
+	starts, suspends := plan.Count(StartJob), plan.Count(SuspendJob)
 	if suspends != 1 || starts != 1 {
 		t.Errorf("wanted one suspend + one start, got %d/%d (%v)", suspends, starts, plan.Actions)
 	}
 	for _, a := range plan.Actions {
-		if s, ok := a.(SuspendJob); ok && s.Job == "stranded" {
+		if a.Kind == SuspendJob && a.Job == "stranded" {
 			t.Error("stranded job chosen as eviction victim")
 		}
 	}

@@ -608,7 +608,7 @@ func TestPhaseRebalanceMatchesScanReference(t *testing.T) {
 				if g, w := c.Plan(st).Digest(), want.Digest(); g != w {
 					t.Fatalf("cap %d hot %d trial %d: Plan digest %s, reference %s", maxMig, hot, trial, g, w)
 				}
-				_, _, _, migs, _, _, _, _ := want.CountActions()
+				migs := want.Count(MigrateJob)
 				migrated += migs
 				most = max(most, migs)
 			}

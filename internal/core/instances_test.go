@@ -18,7 +18,7 @@ func TestInstanceSizingGrowsWithDemand(t *testing.T) {
 	app.MinInstances = 1
 	st := &State{Now: 0, Nodes: nodes(8), Apps: []AppInfo{app}}
 	plan := c.Plan(st)
-	_, _, _, _, _, adds, _, _ := plan.CountActions()
+	adds := plan.Count(AddInstance)
 	if adds < 4 {
 		t.Errorf("adds = %d, want several instances for a multi-node target", adds)
 	}
@@ -35,7 +35,7 @@ func TestInstanceRemovalWhenDemandShrinks(t *testing.T) {
 	app.MinInstances = 1
 	st := &State{Now: 0, Nodes: nodes(4), Apps: []AppInfo{app}}
 	plan := c.Plan(st)
-	_, _, _, _, _, adds, removes, _ := plan.CountActions()
+	adds, removes := plan.Count(AddInstance), plan.Count(RemoveInstance)
 	if removes != 3 {
 		t.Errorf("removes = %d, want 3 (down to a single instance)", removes)
 	}
@@ -54,7 +54,7 @@ func TestInstanceMinRespected(t *testing.T) {
 	app.MinInstances = 3
 	st := &State{Now: 0, Nodes: nodes(4), Apps: []AppInfo{app}}
 	plan := c.Plan(st)
-	_, _, _, _, _, _, removes, _ := plan.CountActions()
+	removes := plan.Count(RemoveInstance)
 	if removes != 0 {
 		t.Errorf("removed instances below MinInstances: %v", plan.Actions)
 	}
@@ -69,7 +69,7 @@ func TestInstanceMaxRespected(t *testing.T) {
 	app.MaxInstances = 2
 	st := &State{Now: 0, Nodes: nodes(6), Apps: []AppInfo{app}}
 	plan := c.Plan(st)
-	_, _, _, _, _, adds, _, _ := plan.CountActions()
+	adds := plan.Count(AddInstance)
 	if adds > 2 {
 		t.Errorf("adds = %d, want at most MaxInstances=2", adds)
 	}
@@ -93,8 +93,8 @@ func TestInstancePlacementAvoidsFullNodes(t *testing.T) {
 	app.MaxInstances = 1
 	st.Apps = []AppInfo{app}
 	plan := c.Plan(st)
-	for _, act := range plan.Actions {
-		if a, ok := act.(AddInstance); ok && a.Node == "a" {
+	for _, a := range plan.Actions {
+		if a.Kind == AddInstance && a.Node == "a" {
 			t.Errorf("instance placed on memory-full node: %v", a)
 		}
 	}

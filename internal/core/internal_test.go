@@ -139,24 +139,33 @@ func TestStateTotals(t *testing.T) {
 }
 
 func TestActionStringsAndCount(t *testing.T) {
-	actions := []Action{
-		StartJob{Job: "j", Node: "n", Share: 1},
-		ResumeJob{Job: "j", Node: "n", Share: 1},
-		SuspendJob{Job: "j"},
-		MigrateJob{Job: "j", Dst: "n", Share: 1},
-		SetJobShare{Job: "j", Share: 1},
-		AddInstance{App: "a", Node: "n", Share: 1},
-		RemoveInstance{App: "a", Node: "n"},
-		SetInstanceShare{App: "a", Node: "n", Share: 1},
+	// Plan.Digest hashes these texts: they must not change.
+	cases := []struct {
+		a    Action
+		want string
+	}{
+		{Action{Kind: StartJob, Job: "j", Node: "n", Share: 1}, "start job j on n @ 1MHz"},
+		{Action{Kind: ResumeJob, Job: "j", Node: "n", Share: 1}, "resume job j on n @ 1MHz"},
+		{Action{Kind: SuspendJob, Job: "j"}, "suspend job j"},
+		{Action{Kind: MigrateJob, Job: "j", Node: "n", Share: 1}, "migrate job j to n @ 1MHz"},
+		{Action{Kind: SetJobShare, Job: "j", Share: 1}, "set job j share 1MHz"},
+		{Action{Kind: AddInstance, App: "a", Node: "n", Share: 1}, "add instance of a on n @ 1MHz"},
+		{Action{Kind: RemoveInstance, App: "a", Node: "n"}, "remove instance of a from n"},
+		{Action{Kind: SetInstanceShare, App: "a", Node: "n", Share: 1}, "set instance of a on n share 1MHz"},
 	}
-	for _, a := range actions {
-		if a.String() == "" {
-			t.Errorf("%T has empty string form", a)
+	p := &Plan{}
+	for _, c := range cases {
+		if got := c.a.String(); got != c.want {
+			t.Errorf("kind %d String() = %q, want %q", c.a.Kind, got, c.want)
 		}
+		p.Actions = append(p.Actions, c.a)
 	}
-	p := &Plan{Actions: actions}
-	st, rs, su, mi, sh, ia, ir, is := p.CountActions()
-	if st != 1 || rs != 1 || su != 1 || mi != 1 || sh != 1 || ia != 1 || ir != 1 || is != 1 {
-		t.Errorf("CountActions = %d %d %d %d %d %d %d %d", st, rs, su, mi, sh, ia, ir, is)
+	for k := StartJob; k <= SetInstanceShare; k++ {
+		if n := p.Count(k); n != 1 {
+			t.Errorf("Count(%d) = %d, want 1", k, n)
+		}
+		if frees := k == SuspendJob || k == RemoveInstance; (Action{Kind: k}).Frees() != frees {
+			t.Errorf("kind %d Frees() = %v", k, !frees)
+		}
 	}
 }

@@ -47,112 +47,110 @@ func CheckPlan(st *State, plan *Plan) error {
 	}
 
 	jobActed := make(map[batch.JobID]Action)
-	actJob := func(act Action, id batch.JobID, want batch.State) error {
-		j, ok := jobs[id]
+	actJob := func(a Action, want batch.State) error {
+		j, ok := jobs[a.Job]
 		if !ok {
-			return fmt.Errorf("core: %v references unknown job %s", act, id)
+			return fmt.Errorf("core: %v references unknown job %s", a, a.Job)
 		}
-		if prev, dup := jobActed[id]; dup {
-			return fmt.Errorf("core: job %s receives two actions: %v then %v", id, prev, act)
+		if prev, dup := jobActed[a.Job]; dup {
+			return fmt.Errorf("core: job %s receives two actions: %v then %v", a.Job, prev, a)
 		}
-		jobActed[id] = act
+		jobActed[a.Job] = a
 		if j.State != want {
-			return fmt.Errorf("core: %v targets %v job %s (want %v)", act, j.State, id, want)
+			return fmt.Errorf("core: %v targets %v job %s (want %v)", a, j.State, a.Job, want)
 		}
 		return nil
 	}
-	instActed := make(map[trans.AppID]map[cluster.NodeID]bool)
-	actInst := func(act Action, id trans.AppID, n cluster.NodeID, wantPresent bool) error {
-		a, ok := apps[id]
+	checkNode := func(a Action) error {
+		if _, ok := nodes[a.Node]; !ok {
+			return fmt.Errorf("core: %v references unknown node %s", a, a.Node)
+		}
+		return nil
+	}
+	instActed := make(map[trans.AppID]map[cluster.NodeID]Action)
+	actInst := func(a Action, wantPresent bool) error {
+		app, ok := apps[a.App]
 		if !ok {
-			return fmt.Errorf("core: %v references unknown app %s", act, id)
+			return fmt.Errorf("core: %v references unknown app %s", a, a.App)
 		}
-		if _, ok := nodes[n]; !ok {
-			return fmt.Errorf("core: %v references unknown node %s", act, n)
+		if err := checkNode(a); err != nil {
+			return err
 		}
-		if instActed[id][n] {
-			return fmt.Errorf("core: instance %s/%s receives a second action %v", id, n, act)
+		if _, dup := instActed[a.App][a.Node]; dup {
+			return fmt.Errorf("core: instance %s/%s receives a second action %v", a.App, a.Node, a)
 		}
-		if instActed[id] == nil {
-			instActed[id] = make(map[cluster.NodeID]bool)
+		if instActed[a.App] == nil {
+			instActed[a.App] = make(map[cluster.NodeID]Action)
 		}
-		instActed[id][n] = true
-		if _, present := a.Instances[n]; present != wantPresent {
+		instActed[a.App][a.Node] = a
+		if _, present := app.Instances[a.Node]; present != wantPresent {
 			if wantPresent {
-				return fmt.Errorf("core: %v targets %s with no instance on %s", act, id, n)
+				return fmt.Errorf("core: %v targets %s with no instance on %s", a, a.App, a.Node)
 			}
-			return fmt.Errorf("core: %v adds a duplicate instance of %s on %s", act, id, n)
+			return fmt.Errorf("core: %v adds a duplicate instance of %s on %s", a, a.App, a.Node)
 		}
 		return nil
 	}
-	checkNode := func(act Action, n cluster.NodeID) error {
-		if _, ok := nodes[n]; !ok {
-			return fmt.Errorf("core: %v references unknown node %s", act, n)
-		}
-		return nil
-	}
-	checkShare := func(act Action, s res.CPU) error {
-		if s < 0 {
-			return fmt.Errorf("core: %v has negative share %v", act, s)
+	checkShare := func(a Action) error {
+		if a.Share < 0 {
+			return fmt.Errorf("core: %v has negative share %v", a, a.Share)
 		}
 		return nil
 	}
 
-	for _, act := range plan.Actions {
+	for _, a := range plan.Actions {
 		var err error
-		switch a := act.(type) {
-		case StartJob:
-			if err = actJob(a, a.Job, batch.Pending); err == nil {
-				if err = checkNode(a, a.Node); err == nil {
-					err = checkShare(a, a.Share)
-				}
+		switch a.Kind {
+		case StartJob, ResumeJob, MigrateJob:
+			// Runs the job on Node at Share: start a pending job,
+			// resume a suspended one, migrate a running one.
+			want := batch.Running
+			if a.Kind == StartJob {
+				want = batch.Pending
+			} else if a.Kind == ResumeJob {
+				want = batch.Suspended
 			}
-		case ResumeJob:
-			if err = actJob(a, a.Job, batch.Suspended); err == nil {
-				if err = checkNode(a, a.Node); err == nil {
-					err = checkShare(a, a.Share)
+			if err = actJob(a, want); err == nil {
+				if err = checkNode(a); err == nil {
+					err = checkShare(a)
 				}
 			}
 		case SuspendJob:
-			err = actJob(a, a.Job, batch.Running)
-		case MigrateJob:
-			if err = actJob(a, a.Job, batch.Running); err == nil {
-				if err = checkNode(a, a.Dst); err == nil {
-					err = checkShare(a, a.Share)
-				}
-			}
+			err = actJob(a, batch.Running)
 		case SetJobShare:
-			if err = actJob(a, a.Job, batch.Running); err == nil {
-				err = checkShare(a, a.Share)
+			if err = actJob(a, batch.Running); err == nil {
+				err = checkShare(a)
 			}
 		case AddInstance:
-			if err = actInst(a, a.App, a.Node, false); err == nil {
-				err = checkShare(a, a.Share)
+			if err = actInst(a, false); err == nil {
+				err = checkShare(a)
 			}
 		case RemoveInstance:
-			err = actInst(a, a.App, a.Node, true)
+			err = actInst(a, true)
 		case SetInstanceShare:
-			if err = actInst(a, a.App, a.Node, true); err == nil {
-				err = checkShare(a, a.Share)
+			if err = actInst(a, true); err == nil {
+				err = checkShare(a)
 			}
 		default:
-			err = fmt.Errorf("core: unknown action type %T", act)
+			err = fmt.Errorf("core: unknown action kind %d", a.Kind)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return checkOccupancy(st, plan, nodes)
+	return checkOccupancy(st, apps, jobActed, instActed)
 }
 
-// checkOccupancy replays the plan two-phase onto the snapshot — frees
-// land before placements, the executor's sequencing contract — and
-// verifies no node ends over its memory capacity and no node's job
+// checkOccupancy replays the plan — as CheckPlan indexed it, at most
+// one action per job and per instance — two-phase onto the snapshot:
+// frees land before placements, the executor's sequencing contract. It
+// verifies that no node ends over its memory capacity and no node's job
 // tier alone is granted more CPU than the node has. (Web instance CPU
 // shares overlap the job tier by policy design: full-speed baselines
 // lean on the vm layer's proportional rescaling, so the web+jobs CPU
 // total is a policy property, not an invariant.)
-func checkOccupancy(st *State, plan *Plan, nodes map[cluster.NodeID]NodeInfo) error {
+func checkOccupancy(st *State, apps map[trans.AppID]AppInfo,
+	jobActed map[batch.JobID]Action, instActed map[trans.AppID]map[cluster.NodeID]Action) error {
 	type book struct {
 		mem res.Memory
 		cpu res.CPU // job-tier shares only
@@ -162,76 +160,31 @@ func checkOccupancy(st *State, plan *Plan, nodes map[cluster.NodeID]NodeInfo) er
 		books[n.ID] = &book{}
 	}
 
-	// Index plan decisions per job / instance.
-	suspended := map[batch.JobID]bool{}
-	migrated := map[batch.JobID]cluster.NodeID{}
-	newShare := map[batch.JobID]res.CPU{}
-	started := map[batch.JobID]StartJob{}
-	resumed := map[batch.JobID]ResumeJob{}
-	migShare := map[batch.JobID]res.CPU{}
-	instRemoved := map[trans.AppID]map[cluster.NodeID]bool{}
-	instAdded := []AddInstance{}
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
-		case SuspendJob:
-			suspended[a.Job] = true
-		case MigrateJob:
-			migrated[a.Job] = a.Dst
-			migShare[a.Job] = a.Share
-		case SetJobShare:
-			newShare[a.Job] = a.Share
-		case StartJob:
-			started[a.Job] = a
-		case ResumeJob:
-			resumed[a.Job] = a
-		case RemoveInstance:
-			if instRemoved[a.App] == nil {
-				instRemoved[a.App] = map[cluster.NodeID]bool{}
-			}
-			instRemoved[a.App][a.Node] = true
-		case AddInstance:
-			instAdded = append(instAdded, a)
-		}
-	}
-
 	// Jobs after the plan. Bookings on nodes the snapshot does not know
 	// are skipped: a running job stranded on a vanished node occupies no
 	// live capacity.
 	for _, j := range st.Jobs {
+		node, share := j.Node, j.Share
+		a, acted := jobActed[j.ID]
 		switch {
-		case suspended[j.ID]:
-			// Off the node.
-		case j.State == batch.Running:
-			node, share := j.Node, j.Share
-			if dst, ok := migrated[j.ID]; ok {
-				node, share = dst, migShare[j.ID]
-			} else if s, ok := newShare[j.ID]; ok {
-				share = s
-			}
-			if b, ok := books[node]; ok {
-				b.mem += j.Mem
-				b.cpu += share
-			}
-		case j.State == batch.Pending:
-			if a, ok := started[j.ID]; ok {
-				if b, ok := books[a.Node]; ok {
-					b.mem += j.Mem
-					b.cpu += a.Share
-				}
-			}
-		case j.State == batch.Suspended:
-			if a, ok := resumed[j.ID]; ok {
-				if b, ok := books[a.Node]; ok {
-					b.mem += j.Mem
-					b.cpu += a.Share
-				}
-			}
+		case acted && a.Kind == SuspendJob:
+			continue // off the node
+		case acted && a.Kind == SetJobShare:
+			share = a.Share
+		case acted:
+			node, share = a.Node, a.Share // started, resumed or migrated
+		case j.State != batch.Running:
+			continue // stays unplaced
+		}
+		if b, ok := books[node]; ok {
+			b.mem += j.Mem
+			b.cpu += share
 		}
 	}
 	// Web instances after the plan (memory only, per the note above).
 	for _, app := range st.Apps {
 		for node := range app.Instances {
-			if instRemoved[app.ID][node] {
+			if instActed[app.ID][node].Kind == RemoveInstance {
 				continue
 			}
 			if b, ok := books[node]; ok {
@@ -239,15 +192,11 @@ func checkOccupancy(st *State, plan *Plan, nodes map[cluster.NodeID]NodeInfo) er
 			}
 		}
 	}
-	for _, a := range instAdded {
-		var mem res.Memory
-		for _, app := range st.Apps {
-			if app.ID == a.App {
-				mem = app.InstanceMem
+	for id, acted := range instActed {
+		for node, a := range acted {
+			if b, ok := books[node]; ok && a.Kind == AddInstance {
+				b.mem += apps[id].InstanceMem
 			}
-		}
-		if b, ok := books[a.Node]; ok {
-			b.mem += mem
 		}
 	}
 
@@ -265,24 +214,19 @@ func checkOccupancy(st *State, plan *Plan, nodes map[cluster.NodeID]NodeInfo) er
 
 // FreeingFirst verifies the strict list-level ordering that merged
 // shard plans and wire-plan diffs promise: every freeing action
-// (SuspendJob, RemoveInstance) precedes every non-freeing action
-// (placements and share changes). Single-policy plans interleave frees
-// with placements — the two-phase executor makes that safe — so this
-// check applies only to outputs that document the global order.
+// (Action.Frees) precedes every non-freeing action (placements and
+// share changes). Single-policy plans interleave frees with placements
+// — the two-phase executor makes that safe — so this check applies
+// only to outputs that document the global order.
 func FreeingFirst(actions []Action) error {
-	placed := false
-	var firstPlace Action
-	for _, act := range actions {
-		switch act.(type) {
-		case SuspendJob, RemoveInstance:
-			if placed {
-				return fmt.Errorf("core: freeing action %v after non-freeing action %v", act, firstPlace)
+	for i, a := range actions {
+		if !a.Frees() {
+			for _, b := range actions[i+1:] {
+				if b.Frees() {
+					return fmt.Errorf("core: freeing action %v after non-freeing action %v", b, a)
+				}
 			}
-		default:
-			if !placed {
-				placed = true
-				firstPlace = act
-			}
+			return nil
 		}
 	}
 	return nil

@@ -43,46 +43,46 @@ func TestCheckPlanViolations(t *testing.T) {
 	}{
 		{"empty plan", nil, ""},
 		{"sound mixed plan", []Action{
-			RemoveInstance{App: "web", Node: "n1"},
-			SuspendJob{Job: "run"},
-			StartJob{Job: "pend", Node: "n2", Share: 4000},
-			ResumeJob{Job: "susp", Node: "n1", Share: 4000},
-			AddInstance{App: "web", Node: "n2", Share: 2000},
+			{Kind: RemoveInstance, App: "web", Node: "n1"},
+			{Kind: SuspendJob, Job: "run"},
+			{Kind: StartJob, Job: "pend", Node: "n2", Share: 4000},
+			{Kind: ResumeJob, Job: "susp", Node: "n1", Share: 4000},
+			{Kind: AddInstance, App: "web", Node: "n2", Share: 2000},
 		}, ""},
-		{"unknown job", []Action{SuspendJob{Job: "ghost"}}, "unknown job"},
-		{"unknown node", []Action{StartJob{Job: "pend", Node: "n9", Share: 100}}, "unknown node"},
-		{"unknown migrate target", []Action{MigrateJob{Job: "run", Dst: "n9", Share: 100}}, "unknown node"},
-		{"unknown app", []Action{RemoveInstance{App: "ghost", Node: "n1"}}, "unknown app"},
+		{"unknown job", []Action{{Kind: SuspendJob, Job: "ghost"}}, "unknown job"},
+		{"unknown node", []Action{{Kind: StartJob, Job: "pend", Node: "n9", Share: 100}}, "unknown node"},
+		{"unknown migrate target", []Action{{Kind: MigrateJob, Job: "run", Node: "n9", Share: 100}}, "unknown node"},
+		{"unknown app", []Action{{Kind: RemoveInstance, App: "ghost", Node: "n1"}}, "unknown app"},
 		{"duplicate job action", []Action{
-			SuspendJob{Job: "run"},
-			SetJobShare{Job: "run", Share: 100},
+			{Kind: SuspendJob, Job: "run"},
+			{Kind: SetJobShare, Job: "run", Share: 100},
 		}, "two actions"},
-		{"start a running job", []Action{StartJob{Job: "run", Node: "n2", Share: 100}}, "want pending"},
-		{"resume a pending job", []Action{ResumeJob{Job: "pend", Node: "n2", Share: 100}}, "want suspended"},
-		{"suspend a pending job", []Action{SuspendJob{Job: "pend"}}, "want running"},
-		{"reshare a suspended job", []Action{SetJobShare{Job: "susp", Share: 100}}, "want running"},
-		{"negative share", []Action{SetJobShare{Job: "run", Share: -1}}, "negative share"},
+		{"start a running job", []Action{{Kind: StartJob, Job: "run", Node: "n2", Share: 100}}, "want pending"},
+		{"resume a pending job", []Action{{Kind: ResumeJob, Job: "pend", Node: "n2", Share: 100}}, "want suspended"},
+		{"suspend a pending job", []Action{{Kind: SuspendJob, Job: "pend"}}, "want running"},
+		{"reshare a suspended job", []Action{{Kind: SetJobShare, Job: "susp", Share: 100}}, "want running"},
+		{"negative share", []Action{{Kind: SetJobShare, Job: "run", Share: -1}}, "negative share"},
 		{"duplicate instance action", []Action{
-			SetInstanceShare{App: "web", Node: "n1", Share: 100},
-			RemoveInstance{App: "web", Node: "n1"},
+			{Kind: SetInstanceShare, App: "web", Node: "n1", Share: 100},
+			{Kind: RemoveInstance, App: "web", Node: "n1"},
 		}, "second action"},
-		{"add over existing instance", []Action{AddInstance{App: "web", Node: "n1", Share: 100}}, "duplicate instance"},
-		{"remove absent instance", []Action{RemoveInstance{App: "web", Node: "n2"}}, "no instance"},
-		{"reshare absent instance", []Action{SetInstanceShare{App: "web", Node: "n2", Share: 100}}, "no instance"},
+		{"add over existing instance", []Action{{Kind: AddInstance, App: "web", Node: "n1", Share: 100}}, "duplicate instance"},
+		{"remove absent instance", []Action{{Kind: RemoveInstance, App: "web", Node: "n2"}}, "no instance"},
+		{"reshare absent instance", []Action{{Kind: SetInstanceShare, App: "web", Node: "n2", Share: 100}}, "no instance"},
 		{"memory overcommit", []Action{
 			// n1 already hosts run (4000 MB) + instance (1000 MB);
 			// resuming susp there lands 4000 MB more: 9000 > 8000.
-			ResumeJob{Job: "susp", Node: "n1", Share: 1000},
+			{Kind: ResumeJob, Job: "susp", Node: "n1", Share: 1000},
 		}, "over memory"},
 		{"cpu overcommit", []Action{
-			SetJobShare{Job: "run", Share: 9500},
+			{Kind: SetJobShare, Job: "run", Share: 9500},
 		}, "over CPU"},
 		{"freed memory reused", []Action{
 			// Two-phase replay: suspending run releases n1, so resuming
 			// susp into the freed space is sound even though the resume
 			// is listed first.
-			ResumeJob{Job: "susp", Node: "n1", Share: 4000},
-			SuspendJob{Job: "run"},
+			{Kind: ResumeJob, Job: "susp", Node: "n1", Share: 4000},
+			{Kind: SuspendJob, Job: "run"},
 		}, ""},
 	}
 	for _, tc := range cases {
@@ -114,7 +114,7 @@ func TestCheckPlanStrandedJob(t *testing.T) {
 		ID: "stranded", State: batch.Running, Node: "gone", Share: 4500,
 		Remaining: 1e6, MaxSpeed: 4500, Mem: 4000, Goal: 9000,
 	})
-	if err := CheckPlan(st, &Plan{Actions: []Action{SuspendJob{Job: "stranded"}}}); err != nil {
+	if err := CheckPlan(st, &Plan{Actions: []Action{{Kind: SuspendJob, Job: "stranded"}}}); err != nil {
 		t.Fatalf("suspending a stranded job: %v", err)
 	}
 	if err := CheckPlan(st, &Plan{}); err != nil {
@@ -129,16 +129,16 @@ func TestCheckPlanNil(t *testing.T) {
 }
 
 func TestFreeingFirst(t *testing.T) {
-	free := SuspendJob{Job: "a"}
-	place := StartJob{Job: "b", Node: "n1", Share: 100}
-	share := SetJobShare{Job: "c", Share: 100}
+	free := Action{Kind: SuspendJob, Job: "a"}
+	place := Action{Kind: StartJob, Job: "b", Node: "n1", Share: 100}
+	share := Action{Kind: SetJobShare, Job: "c", Share: 100}
 	cases := []struct {
 		name    string
 		actions []Action
 		ok      bool
 	}{
 		{"empty", nil, true},
-		{"frees only", []Action{free, RemoveInstance{App: "w", Node: "n1"}}, true},
+		{"frees only", []Action{free, {Kind: RemoveInstance, App: "w", Node: "n1"}}, true},
 		{"frees then places", []Action{free, place, share}, true},
 		{"free after place", []Action{place, free}, false},
 		{"free after share change", []Action{share, free}, false},

@@ -53,8 +53,8 @@ func planPlacedCount(st *State, plan *Plan) int {
 			placed[j.ID] = true
 		}
 	}
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
+	for _, a := range plan.Actions {
+		switch a.Kind {
 		case StartJob:
 			placed[a.Job] = true
 		case ResumeJob:
@@ -172,8 +172,8 @@ func TestNoWaitingJobCouldBePlaced(t *testing.T) {
 		for _, j := range st.Jobs {
 			waiting[j.ID] = j.Mem
 		}
-		for _, act := range plan.Actions {
-			if a, ok := act.(StartJob); ok {
+		for _, a := range plan.Actions {
+			if a.Kind == StartJob {
 				free[a.Node] -= waiting[a.Job]
 				delete(waiting, a.Job)
 			}

@@ -184,6 +184,13 @@ func (c *PlacementController) Plan(st *State) *Plan {
 	c.phaseShares(ctx)
 	c.phaseRebalance(ctx)
 	c.phaseEmit(ctx)
+	// The actions were emitted into the arena's buffer; the plan gets
+	// one copy of exact length.
+	acts := ctx.plan.Actions
+	a.actions, ctx.plan.Actions = acts[:0], nil
+	if len(acts) > 0 {
+		ctx.plan.Actions = append(make([]Action, 0, len(acts)), acts...)
+	}
 
 	if mode == PlanIncremental {
 		c.stats.Incremental++
@@ -203,19 +210,6 @@ func (c *PlacementController) PlanStats() PlanStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// ResetPlanCache drops the memoized previous cycle: the next Plan
-// cannot replay a cached plan or reuse the cached priority order. The
-// carry-over tier is memo-independent (its steadiness proofs read only
-// the snapshot), so a steady snapshot still plans incrementally; to
-// measure true from-scratch cost, build the controller with
-// Config.Incremental=false as the benchmarks do. The node ledgers are
-// kept.
-func (c *PlacementController) ResetPlanCache() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo = nil
 }
 
 // phaseTargets builds the utility curves, equalizes hypothetical

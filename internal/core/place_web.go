@@ -31,6 +31,42 @@ func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 		sc.hasInst = make(map[cluster.NodeID]bool)
 	}
 
+	// Rank every app's current instances, highest-share first, and hold
+	// the memory of the ones each app keeps in pending (by Ledger.pos)
+	// until that app's turn books it: no app adds an instance into room
+	// a later app's kept instance occupies. The rankings stay in scratch
+	// for the second pass.
+	current, at := sc.webCur[:0], append(sc.webAt[:0], 0)
+	pending := grow(sc.webPending, nodeCount)
+	clear(pending)
+	for ai := range st.Apps {
+		app := &st.Apps[ai]
+		from := len(current)
+		for n, s := range app.Instances {
+			if _, ok := ledgers.Get(n); !ok {
+				continue // node offline; instance is already gone
+			}
+			current = append(current, webInst{n, s})
+		}
+		ranked := current[from:]
+		sort.Slice(ranked, func(i, j int) bool {
+			if ranked[i].share != ranked[j].share {
+				return ranked[i].share > ranked[j].share
+			}
+			return ranked[i].node < ranked[j].node
+		})
+		at = append(at, len(current))
+		needed := neededInstances(app, ctx.appTarget[app.ID], nodeCount)
+		for k, in := range ranked {
+			if k >= needed {
+				break
+			}
+			l, _ := ledgers.Get(in.node)
+			pending[l.pos] += app.InstanceMem
+		}
+	}
+	sc.webCur, sc.webAt, sc.webPending = current, at, pending
+
 	for ai := range st.Apps {
 		app := &st.Apps[ai]
 		target := ctx.appTarget[app.ID]
@@ -40,33 +76,15 @@ func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 		needed := neededInstances(app, target, nodeCount)
 
 		// Keep current instances, highest-share first.
-		current := sc.webCur[:0]
-		if cap(current) < len(app.Instances) {
-			current = make([]webInst, 0, len(app.Instances))
-		}
-		for n, s := range app.Instances {
-			if _, ok := ledgers.Get(n); !ok {
-				continue // node offline; instance is already gone
-			}
-			current = append(current, webInst{n, s})
-		}
-		sc.webCur = current
-		sort.Slice(current, func(i, j int) bool {
-			if current[i].share != current[j].share {
-				return current[i].share > current[j].share
-			}
-			return current[i].node < current[j].node
-		})
-
 		kept := sc.webKept[:0]
 		if cap(kept) < needed {
 			kept = make([]cluster.NodeID, 0, needed)
 		}
-		for _, in := range current {
+		for _, in := range current[at[ai]:at[ai+1]] {
 			if len(kept) < needed {
 				kept = append(kept, in.node)
 			} else {
-				plan.Actions = append(plan.Actions, RemoveInstance{App: app.ID, Node: in.node})
+				plan.Actions = append(plan.Actions, Action{Kind: RemoveInstance, App: app.ID, Node: in.node})
 			}
 		}
 		// Account kept instances' memory (they are resident already, so
@@ -74,11 +92,13 @@ func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 		// starts empty for web, unlike for running jobs, so add it).
 		for _, n := range kept {
 			l, _ := ledgers.Get(n)
+			pending[l.pos] -= app.InstanceMem
 			l.BookMem(app.InstanceMem)
 		}
 		// Add instances on the emptiest feasible nodes: pop candidates
-		// best-first, skipping nodes that already host an instance, and
-		// stop at the first infeasible top (it is the free-memory
+		// best-first, skipping nodes that already host an instance or
+		// whose room is pending for other apps' kept instances, and stop
+		// at the first top without the room (it is the free-memory
 		// maximum, so nothing below it fits either).
 		if len(kept) < needed {
 			clear(sc.hasInst)
@@ -93,12 +113,12 @@ func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 				}
 				cands.popTop()
 				popped = append(popped, top)
-				if sc.hasInst[top.Info.ID] {
+				if sc.hasInst[top.Info.ID] || top.FreeMem()-pending[top.pos] < app.InstanceMem {
 					continue
 				}
 				kept = append(kept, top.Info.ID)
 				top.BookMem(app.InstanceMem)
-				plan.Actions = append(plan.Actions, AddInstance{App: app.ID, Node: top.Info.ID})
+				plan.Actions = append(plan.Actions, Action{Kind: AddInstance, App: app.ID, Node: top.Info.ID})
 			}
 			for _, l := range popped {
 				cands.push(l)

@@ -92,8 +92,8 @@ func verifyFeasible(t *testing.T, st *State, plan *Plan) {
 		}
 	}
 	// Apply actions to the final (post-settlement) placement.
-	for _, act := range plan.Actions {
-		switch a := act.(type) {
+	for _, a := range plan.Actions {
+		switch a.Kind {
 		case SuspendJob:
 			if jobNode[a.Job] == "" {
 				t.Errorf("suspend of non-running job %v", a.Job)
@@ -116,7 +116,7 @@ func verifyFeasible(t *testing.T, st *State, plan *Plan) {
 			if jobNode[a.Job] == "" {
 				t.Errorf("migrate of non-running job %v", a.Job)
 			}
-			jobNode[a.Job] = a.Dst
+			jobNode[a.Job] = a.Node
 			jobShare[a.Job] = a.Share
 		case SetJobShare:
 			if jobNode[a.Job] == "" {
@@ -184,7 +184,7 @@ func TestPendingJobsGetPlaced(t *testing.T) {
 		},
 	}
 	plan := c.Plan(st)
-	starts, _, suspends, migs, _, _, _, _ := plan.CountActions()
+	starts, suspends, migs := plan.Count(StartJob), plan.Count(SuspendJob), plan.Count(MigrateJob)
 	if starts != 2 {
 		t.Errorf("starts = %d, want 2", starts)
 	}
@@ -193,8 +193,8 @@ func TestPendingJobsGetPlaced(t *testing.T) {
 	}
 	// Abundant capacity: both at full speed.
 	for _, a := range plan.Actions {
-		if s, ok := a.(StartJob); ok && !res.AlmostEqual(s.Share, 4500) {
-			t.Errorf("start share = %v, want 4500", s.Share)
+		if a.Kind == StartJob && !res.AlmostEqual(a.Share, 4500) {
+			t.Errorf("start share = %v, want 4500", a.Share)
 		}
 	}
 	verifyFeasible(t, st, plan)
@@ -209,7 +209,7 @@ func TestMemoryLimitCapsRunSet(t *testing.T) {
 			job(string(rune('1'+i)), batch.Pending, "", 0, res.Work(4500*1000), 3000))
 	}
 	plan := c.Plan(st)
-	starts, _, _, _, _, _, _, _ := plan.CountActions()
+	starts := plan.Count(StartJob)
 	if starts != 3 {
 		t.Errorf("starts = %d, want 3 (memory limit)", starts)
 	}
@@ -228,16 +228,16 @@ func TestUrgentJobEvictsLeastUrgentVictim(t *testing.T) {
 		job("urgent", batch.Suspended, "", 0, res.Work(4500*1000), 12000),
 	}
 	plan := c.Plan(st)
-	_, resumes, suspends, _, _, _, _, _ := plan.CountActions()
+	resumes, suspends := plan.Count(ResumeJob), plan.Count(SuspendJob)
 	if suspends != 1 || resumes != 1 {
 		t.Fatalf("suspends=%d resumes=%d, want 1/1; actions: %v", suspends, resumes, plan.Actions)
 	}
 	for _, a := range plan.Actions {
-		if s, ok := a.(SuspendJob); ok && s.Job != "relaxed" {
-			t.Errorf("suspended %v, want the most relaxed job", s.Job)
+		if a.Kind == SuspendJob && a.Job != "relaxed" {
+			t.Errorf("suspended %v, want the most relaxed job", a.Job)
 		}
-		if r, ok := a.(ResumeJob); ok && r.Job != "urgent" {
-			t.Errorf("resumed %v, want the urgent job", r.Job)
+		if a.Kind == ResumeJob && a.Job != "urgent" {
+			t.Errorf("resumed %v, want the urgent job", a.Job)
 		}
 	}
 	verifyFeasible(t, st, plan)
@@ -268,7 +268,7 @@ func TestWebAppGetsInstancesAndReservation(t *testing.T) {
 		Apps: []AppInfo{webApp(t, "web", 10, nil)},
 	}
 	plan := c.Plan(st)
-	_, _, _, _, _, adds, removes, _ := plan.CountActions()
+	adds, removes := plan.Count(AddInstance), plan.Count(RemoveInstance)
 	if adds < 1 {
 		t.Fatalf("no instances added: %v", plan.Actions)
 	}
@@ -277,8 +277,8 @@ func TestWebAppGetsInstancesAndReservation(t *testing.T) {
 	}
 	var total res.CPU
 	for _, a := range plan.Actions {
-		if add, ok := a.(AddInstance); ok {
-			total += add.Share
+		if a.Kind == AddInstance {
+			total += a.Share
 		}
 	}
 	// Uncontended: the app should get (about) its max-useful demand.
@@ -336,9 +336,9 @@ func TestSurplusCPUGoesToPlacedJobs(t *testing.T) {
 	}
 	plan := c.Plan(st)
 	for _, a := range plan.Actions {
-		if s, ok := a.(StartJob); ok {
-			if !res.AlmostEqual(s.Share, 4500) {
-				t.Errorf("placed job share %v, want full speed 4500", s.Share)
+		if a.Kind == StartJob {
+			if !res.AlmostEqual(a.Share, 4500) {
+				t.Errorf("placed job share %v, want full speed 4500", a.Share)
 			}
 		}
 	}
@@ -360,7 +360,7 @@ func TestJobOnVanishedNodeLeftToEvictionPath(t *testing.T) {
 	st.Jobs[0].State = batch.Suspended
 	st.Jobs[0].Node = ""
 	plan = c.Plan(st)
-	_, resumes, _, _, _, _, _, _ := plan.CountActions()
+	resumes := plan.Count(ResumeJob)
 	if resumes != 1 {
 		t.Errorf("suspended job not re-placed: %v", plan.Actions)
 	}
@@ -381,12 +381,12 @@ func TestChurnObliviousAblationMigrates(t *testing.T) {
 		job("j3", batch.Running, "a", 4500, res.Work(4500*1000), 3000),
 	}
 	plan := c.Plan(st)
-	_, _, _, migs, _, _, _, _ := plan.CountActions()
+	migs := plan.Count(MigrateJob)
 	if migs == 0 {
 		t.Errorf("churn-oblivious planner did not migrate: %v", plan.Actions)
 	}
 	aware := New(DefaultConfig()).Plan(st)
-	_, _, _, migsAware, _, _, _, _ := aware.CountActions()
+	migsAware := aware.Count(MigrateJob)
 	if migsAware != 0 {
 		t.Errorf("churn-aware planner migrated needlessly: %v", aware.Actions)
 	}
@@ -408,7 +408,7 @@ func TestMigrationRebalanceWhenStarving(t *testing.T) {
 		job("j3", batch.Running, "a", 700, res.Work(4500*1000), 10000),
 	}
 	plan := c.Plan(st)
-	_, _, _, migs, _, _, _, _ := plan.CountActions()
+	migs := plan.Count(MigrateJob)
 	if migs == 0 {
 		t.Errorf("starving jobs were not migrated: %v", plan.Actions)
 	}
@@ -506,8 +506,8 @@ func TestPlanFeasibilityProperty(t *testing.T) {
 			}
 		}
 		starts, resumes, suspends := 0, 0, 0
-		for _, act := range plan.Actions {
-			switch a := act.(type) {
+		for _, a := range plan.Actions {
+			switch a.Kind {
 			case SuspendJob:
 				delete(jobNode, a.Job)
 				suspends++
@@ -518,7 +518,7 @@ func TestPlanFeasibilityProperty(t *testing.T) {
 				jobNode[a.Job] = a.Node
 				resumes++
 			case MigrateJob:
-				jobNode[a.Job] = a.Dst
+				jobNode[a.Job] = a.Node
 			}
 		}
 		for _, n := range jobNode {
@@ -553,7 +553,7 @@ func TestEvictionMarginDampsThrash(t *testing.T) {
 	}
 	pure := New(DefaultConfig())
 	plan := pure.Plan(mkState())
-	_, _, suspends, _, _, _, _, _ := plan.CountActions()
+	suspends := plan.Count(SuspendJob)
 	if suspends != 1 {
 		t.Errorf("pure policy suspends = %d, want 1 (w displaces r3)", suspends)
 	}
@@ -561,7 +561,7 @@ func TestEvictionMarginDampsThrash(t *testing.T) {
 	cfg.EvictionMargin = 1200 // one control cycle of hysteresis
 	damped := New(cfg)
 	plan = damped.Plan(mkState())
-	_, _, suspends, _, _, _, _, _ = plan.CountActions()
+	suspends = plan.Count(SuspendJob)
 	if suspends != 0 {
 		t.Errorf("damped policy suspends = %d, want 0 (500 s < margin)", suspends)
 	}
@@ -569,7 +569,7 @@ func TestEvictionMarginDampsThrash(t *testing.T) {
 	st := mkState()
 	st.Jobs[3].Goal = 25000 // laxity 14000, far below r3's 23000
 	plan = damped.Plan(st)
-	_, _, suspends, _, _, _, _, _ = plan.CountActions()
+	suspends = plan.Count(SuspendJob)
 	if suspends != 1 {
 		t.Errorf("damped policy blocked a genuinely urgent eviction: suspends = %d", suspends)
 	}

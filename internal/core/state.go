@@ -186,118 +186,63 @@ func (s *State) TotalMem() res.Memory {
 	return sum
 }
 
-// Action is one placement decision. The executor in internal/control
-// translates actions into vm/workload operations, sequencing suspends
-// before placements that need the freed memory.
-type Action interface {
-	fmt.Stringer
-	isAction()
-}
+// ActionKind names one of the eight placement decisions. The kinds are
+// numbered 1-8 in the order of package api's actionTypes, so a kind is
+// its own one-byte code on the binary wire; the zero kind is invalid.
+type ActionKind uint8
 
-// StartJob places a pending job.
-type StartJob struct {
+// The action kinds, in wire-code order.
+const (
+	StartJob         ActionKind = iota + 1 // place a pending job on Node at Share
+	ResumeJob                              // restore a suspended job on Node at Share
+	SuspendJob                             // checkpoint a running job
+	MigrateJob                             // live-migrate a running job to Node, at Share during and after
+	SetJobShare                            // adjust a running job's CPU share
+	AddInstance                            // place a new instance of App on Node at Share
+	RemoveInstance                         // retire App's instance on Node
+	SetInstanceShare                       // adjust the share of App's instance on Node
+)
+
+// Action is one placement decision: a kind and the fields that kind
+// reads — Job for the job kinds, App for the instance kinds, Node and
+// Share for the kinds that place or re-share. The executor in
+// internal/control translates actions into vm/workload operations,
+// sequencing the actions that free memory before the placements that
+// need it.
+type Action struct {
+	Kind  ActionKind
 	Job   batch.JobID
-	Node  cluster.NodeID
-	Share res.CPU
-}
-
-func (StartJob) isAction() {}
-
-// String implements fmt.Stringer.
-func (a StartJob) String() string {
-	return fmt.Sprintf("start job %s on %s @ %v", a.Job, a.Node, a.Share)
-}
-
-// ResumeJob restores a suspended job.
-type ResumeJob struct {
-	Job   batch.JobID
-	Node  cluster.NodeID
-	Share res.CPU
-}
-
-func (ResumeJob) isAction() {}
-
-// String implements fmt.Stringer.
-func (a ResumeJob) String() string {
-	return fmt.Sprintf("resume job %s on %s @ %v", a.Job, a.Node, a.Share)
-}
-
-// SuspendJob checkpoints a running job.
-type SuspendJob struct {
-	Job batch.JobID
-}
-
-func (SuspendJob) isAction() {}
-
-// String implements fmt.Stringer.
-func (a SuspendJob) String() string { return fmt.Sprintf("suspend job %s", a.Job) }
-
-// MigrateJob live-migrates a running job.
-type MigrateJob struct {
-	Job   batch.JobID
-	Dst   cluster.NodeID
-	Share res.CPU // share to set after (and during) migration
-}
-
-func (MigrateJob) isAction() {}
-
-// String implements fmt.Stringer.
-func (a MigrateJob) String() string {
-	return fmt.Sprintf("migrate job %s to %s @ %v", a.Job, a.Dst, a.Share)
-}
-
-// SetJobShare adjusts a running job's CPU share.
-type SetJobShare struct {
-	Job   batch.JobID
-	Share res.CPU
-}
-
-func (SetJobShare) isAction() {}
-
-// String implements fmt.Stringer.
-func (a SetJobShare) String() string {
-	return fmt.Sprintf("set job %s share %v", a.Job, a.Share)
-}
-
-// AddInstance places a new web application instance.
-type AddInstance struct {
 	App   trans.AppID
 	Node  cluster.NodeID
 	Share res.CPU
 }
 
-func (AddInstance) isAction() {}
+// Frees reports whether the action frees memory (a suspension or an
+// instance removal). It is the one rule behind every freeing-first
+// order: the executor's, the sharded merge's and FreeingFirst's.
+func (a Action) Frees() bool { return a.Kind == SuspendJob || a.Kind == RemoveInstance }
 
-// String implements fmt.Stringer.
-func (a AddInstance) String() string {
-	return fmt.Sprintf("add instance of %s on %s @ %v", a.App, a.Node, a.Share)
-}
-
-// RemoveInstance retires a web application instance.
-type RemoveInstance struct {
-	App  trans.AppID
-	Node cluster.NodeID
-}
-
-func (RemoveInstance) isAction() {}
-
-// String implements fmt.Stringer.
-func (a RemoveInstance) String() string {
-	return fmt.Sprintf("remove instance of %s from %s", a.App, a.Node)
-}
-
-// SetInstanceShare adjusts one instance's CPU share.
-type SetInstanceShare struct {
-	App   trans.AppID
-	Node  cluster.NodeID
-	Share res.CPU
-}
-
-func (SetInstanceShare) isAction() {}
-
-// String implements fmt.Stringer.
-func (a SetInstanceShare) String() string {
-	return fmt.Sprintf("set instance of %s on %s share %v", a.App, a.Node, a.Share)
+// String implements fmt.Stringer. Plan.Digest hashes this text.
+func (a Action) String() string {
+	switch a.Kind {
+	case StartJob:
+		return fmt.Sprintf("start job %s on %s @ %v", a.Job, a.Node, a.Share)
+	case ResumeJob:
+		return fmt.Sprintf("resume job %s on %s @ %v", a.Job, a.Node, a.Share)
+	case SuspendJob:
+		return fmt.Sprintf("suspend job %s", a.Job)
+	case MigrateJob:
+		return fmt.Sprintf("migrate job %s to %s @ %v", a.Job, a.Node, a.Share)
+	case SetJobShare:
+		return fmt.Sprintf("set job %s share %v", a.Job, a.Share)
+	case AddInstance:
+		return fmt.Sprintf("add instance of %s on %s @ %v", a.App, a.Node, a.Share)
+	case RemoveInstance:
+		return fmt.Sprintf("remove instance of %s from %s", a.App, a.Node)
+	case SetInstanceShare:
+		return fmt.Sprintf("set instance of %s on %s share %v", a.App, a.Node, a.Share)
+	}
+	return fmt.Sprintf("action of kind %d", a.Kind)
 }
 
 // Plan is a controller's output: actions plus the predictions the
@@ -337,28 +282,14 @@ type Controller interface {
 	Plan(st *State) *Plan
 }
 
-// CountActions tallies the plan's actions by kind — used by churn
-// metrics and tests.
-func (p *Plan) CountActions() (starts, resumes, suspends, migrations, reshares, instAdds, instRemoves, instShares int) {
+// Count returns how many of the plan's actions are of the given kind —
+// used by churn metrics and tests.
+func (p *Plan) Count(kind ActionKind) int {
+	n := 0
 	for _, a := range p.Actions {
-		switch a.(type) {
-		case StartJob:
-			starts++
-		case ResumeJob:
-			resumes++
-		case SuspendJob:
-			suspends++
-		case MigrateJob:
-			migrations++
-		case SetJobShare:
-			reshares++
-		case AddInstance:
-			instAdds++
-		case RemoveInstance:
-			instRemoves++
-		case SetInstanceShare:
-			instShares++
+		if a.Kind == kind {
+			n++
 		}
 	}
-	return
+	return n
 }

@@ -51,6 +51,9 @@ type Ledger struct {
 	Jobs []*PlannedJob
 	// WebApps is the planned per-application web share on this node.
 	WebApps map[trans.AppID]res.CPU
+	// jobCPU is the job tier's CPU as the emit phase will enact it
+	// (emit.go).
+	jobCPU res.CPU
 
 	// pos is the node's position in Ledgers.order (the scan tie-break
 	// the job-placement index must reproduce). Set once by NewLedgers.

@@ -222,37 +222,3 @@ func Clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// ApproxEqual reports |a-b| <= tol·max(1, |a|, |b|).
-func ApproxEqual(a, b, tol float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// WeightedMean returns Σ w·x / Σ w; 0 when weights sum to 0.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("numeric: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i := range xs {
-		num += xs[i] * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

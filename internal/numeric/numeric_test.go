@@ -86,42 +86,3 @@ func TestClampPanicsOnInverted(t *testing.T) {
 	}()
 	Clamp(1, 3, 0)
 }
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1e6, 1e6+0.1, 1e-6) {
-		t.Error("rejects tiny relative diff")
-	}
-	if ApproxEqual(1, 2, 1e-6) {
-		t.Error("accepts gross diff")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean broken")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); got != 2 {
-		t.Errorf("WeightedMean equal weights = %v", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{3, 1}); got != 1.5 {
-		t.Errorf("WeightedMean = %v, want 1.5", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 0}); got != 0 {
-		t.Errorf("WeightedMean zero weights = %v, want 0", got)
-	}
-}
-
-func TestWeightedMeanPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}

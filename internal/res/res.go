@@ -54,23 +54,11 @@ func (m Memory) String() string {
 	}
 }
 
-// IsZero reports whether the CPU amount is exactly zero.
-func (c CPU) IsZero() bool { return c == 0 }
-
-// Positive reports whether the CPU amount is strictly positive.
-func (c CPU) Positive() bool { return c > 0 }
-
-// Min returns the smaller of a and b.
+// Min returns the smaller of a and b. It is not the builtin min: that
+// one prefers -0 over 0 and propagates NaN, and plan digests would see
+// the difference.
 func Min(a, b CPU) CPU {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b CPU) CPU {
-	if a > b {
 		return a
 	}
 	return b
@@ -89,22 +77,6 @@ func Clamp(c, lo, hi CPU) CPU {
 		return hi
 	}
 	return c
-}
-
-// MinMem returns the smaller of a and b.
-func MinMem(a, b Memory) Memory {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxMem returns the larger of a and b.
-func MaxMem(a, b Memory) Memory {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // epsilon used by the approximate comparisons below. CPU quantities in

@@ -66,12 +66,6 @@ func TestMinMax(t *testing.T) {
 	if Min(1, 2) != 1 || Min(2, 1) != 1 {
 		t.Error("Min broken")
 	}
-	if Max(1, 2) != 2 || Max(2, 1) != 2 {
-		t.Error("Max broken")
-	}
-	if MinMem(1, 2) != 1 || MaxMem(1, 2) != 2 {
-		t.Error("MinMem/MaxMem broken")
-	}
 }
 
 func TestAlmostEqual(t *testing.T) {

@@ -298,8 +298,8 @@ func (c *Controller) PlanStats() core.PlanStats {
 
 // mergePlans combines the per-shard plans into one plan. Actions are
 // ordered freeing-first globally: first the partitioner's reconcile
-// removals, then every shard's resource-freeing actions (suspends and
-// instance removals) in shard order, then everything else in shard
+// removals, then every shard's freeing actions (core.Action.Frees:
+// suspends and instance removals) in shard order, then everything else in shard
 // order — so an executor enacting the merged list frees memory across
 // the whole cluster before any placement needs it. Within a shard,
 // each group keeps the shard plan's own emission order.
@@ -316,23 +316,13 @@ func mergePlans(p *partition, plans []*core.Plan) *core.Plan {
 		total += len(sp.Actions)
 	}
 	out.Actions = make([]core.Action, 0, total+len(p.reconcile))
-	for _, r := range p.reconcile {
-		out.Actions = append(out.Actions, r)
-	}
-	for _, sp := range plans {
-		for _, a := range sp.Actions {
-			switch a.(type) {
-			case core.SuspendJob, core.RemoveInstance:
-				out.Actions = append(out.Actions, a)
-			}
-		}
-	}
-	for _, sp := range plans {
-		for _, a := range sp.Actions {
-			switch a.(type) {
-			case core.SuspendJob, core.RemoveInstance:
-			default:
-				out.Actions = append(out.Actions, a)
+	out.Actions = append(out.Actions, p.reconcile...)
+	for _, frees := range []bool{true, false} {
+		for _, sp := range plans {
+			for _, a := range sp.Actions {
+				if a.Frees() == frees {
+					out.Actions = append(out.Actions, a)
+				}
 			}
 		}
 	}

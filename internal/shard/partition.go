@@ -81,7 +81,7 @@ type partition struct {
 	states []*core.State
 	// reconcile lists the cross-shard web instances to remove, in app
 	// snapshot order with nodes sorted per app.
-	reconcile []core.RemoveInstance
+	reconcile []core.Action
 	// jobCount / classCount weight the per-shard job-utility
 	// diagnostics back into global means.
 	jobCount   []int
@@ -634,7 +634,7 @@ func (sc *partitionScratch) dealApps(st *core.State, k int, nodeShard []int32) {
 			}
 			sort.Slice(foreign, func(x, y int) bool { return foreign[x] < foreign[y] })
 			for _, id := range foreign {
-				p.reconcile = append(p.reconcile, core.RemoveInstance{App: app.ID, Node: id})
+				p.reconcile = append(p.reconcile, core.Action{Kind: core.RemoveInstance, App: app.ID, Node: id})
 			}
 			sub.Instances = inst
 		}

@@ -296,7 +296,7 @@ func TestMegaAppSpanningEveryShard(t *testing.T) {
 	}
 	removes := 0
 	for _, a := range plan.Actions {
-		if r, ok := a.(core.RemoveInstance); ok && r.App == "mega" {
+		if a.Kind == core.RemoveInstance && a.App == "mega" {
 			removes++
 		}
 	}

@@ -356,7 +356,7 @@ func TestPartitionAppHomeAndReconcile(t *testing.T) {
 	if len(web.Instances) != 3 {
 		t.Errorf("home view has %d instances, want 3 (n002, n003, offline)", len(web.Instances))
 	}
-	want := core.RemoveInstance{App: "web", Node: "n000"}
+	want := core.Action{Kind: core.RemoveInstance, App: "web", Node: "n000"}
 	if len(p.reconcile) != 1 || p.reconcile[0] != want {
 		t.Errorf("reconcile = %v, want [%v]", p.reconcile, want)
 	}
@@ -431,7 +431,7 @@ func TestMergeOrdersFreesFirst(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, a := range plan.Actions {
-			switch a.(type) {
+			switch a.Kind {
 			case core.SuspendJob, core.RemoveInstance:
 				seen = true
 			}
