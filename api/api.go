@@ -425,8 +425,24 @@ func (s *Snapshot) Validate() error {
 	if seen == nil {
 		seen = make(map[string]struct{}, max(len(s.Nodes), len(s.Jobs), len(s.Apps)))
 	}
+	// Each pass deletes the IDs it put into seen, also when it fails:
+	// clear would cost the set's capacity, which one large snapshot
+	// leaves behind for every small one after it.
+	var nodes, jobs, apps int // the leading entries whose IDs are in seen
+	forget := func() {
+		for _, n := range s.Nodes[:nodes] {
+			delete(seen, n.ID)
+		}
+		for i := range s.Jobs[:jobs] {
+			delete(seen, s.Jobs[i].ID)
+		}
+		for i := range s.Apps[:apps] {
+			delete(seen, s.Apps[i].ID)
+		}
+		nodes, jobs, apps = 0, 0, 0
+	}
 	defer func() {
-		clear(seen)
+		forget()
 		idSets.Put(seen)
 	}()
 	for i, n := range s.Nodes {
@@ -437,6 +453,7 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("api: duplicate node %q", n.ID)
 		}
 		seen[n.ID] = struct{}{}
+		nodes = i + 1
 		if !finite(n.CPUMHz) || n.CPUMHz <= 0 {
 			return fmt.Errorf("api: node %q cpuMHz %v", n.ID, n.CPUMHz)
 		}
@@ -444,24 +461,26 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("api: node %q memMB %d", n.ID, n.MemMB)
 		}
 	}
-	clear(seen)
+	forget()
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
 		if _, dup := seen[j.ID]; dup && j.ID != "" {
 			return fmt.Errorf("api: duplicate job %q", j.ID)
 		}
 		seen[j.ID] = struct{}{}
+		jobs = i + 1
 		if err := j.validate(i); err != nil {
 			return err
 		}
 	}
-	clear(seen)
+	forget()
 	for i := range s.Apps {
 		a := &s.Apps[i]
 		if _, dup := seen[a.ID]; dup && a.ID != "" {
 			return fmt.Errorf("api: duplicate app %q", a.ID)
 		}
 		seen[a.ID] = struct{}{}
+		apps = i + 1
 		if err := a.validate(i); err != nil {
 			return err
 		}

@@ -324,6 +324,61 @@ func TestSnapshotValidateRejects(t *testing.T) {
 	}
 }
 
+// TestSnapshotValidateEmptiesIDSet: Validate deletes the IDs it put
+// into its pooled set on every return path, so the set goes back to the
+// pool empty whether the snapshot passed or failed at any check.
+func TestSnapshotValidateEmptiesIDSet(t *testing.T) {
+	good := func() *Snapshot {
+		return &Snapshot{
+			SchemaVersion: 1,
+			Nodes:         []Node{{ID: "n1", CPUMHz: 1000, MemMB: 1000}, {ID: "n2", CPUMHz: 1000, MemMB: 1000}},
+			Jobs: []Job{
+				{ID: "j1", State: JobPending, RemainingMHzs: 10, MaxSpeedMHz: 10, MemMB: 1, GoalSec: 5},
+				{ID: "j2", State: JobPending, RemainingMHzs: 10, MaxSpeedMHz: 10, MemMB: 1, GoalSec: 5},
+			},
+			Apps: []App{
+				{ID: "a1", Lambda: 1, RTGoalSec: 1, Model: Model{Type: ModelMG1PS, DemandMHzs: 10, CoreSpeedMHz: 100}},
+				{ID: "a2", Lambda: 1, RTGoalSec: 1, Model: Model{Type: ModelMG1PS, DemandMHzs: 10, CoreSpeedMHz: 100}},
+			},
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Snapshot)
+	}{
+		{"valid", func(*Snapshot) {}},
+		{"empty node id", func(s *Snapshot) { s.Nodes[1].ID = "" }},
+		{"dup node", func(s *Snapshot) { s.Nodes[1].ID = "n1" }},
+		{"bad node cpu", func(s *Snapshot) { s.Nodes[1].CPUMHz = 0 }},
+		{"bad node mem", func(s *Snapshot) { s.Nodes[1].MemMB = 0 }},
+		{"dup job", func(s *Snapshot) { s.Jobs[1].ID = "j1" }},
+		{"bad job", func(s *Snapshot) { s.Jobs[1].RemainingMHzs = 0 }},
+		{"dup app", func(s *Snapshot) { s.Apps[1].ID = "a1" }},
+		{"bad app", func(s *Snapshot) { s.Apps[1].Lambda = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := good()
+			tc.mutate(s)
+			if err := s.Validate(); (err == nil) != (tc.name == "valid") {
+				t.Fatalf("Validate: %v", err)
+			}
+			// The pool may drop a set (it does at random under -race),
+			// so look until Validate's set comes back.
+			for range 100 {
+				if seen, _ := idSets.Get().(map[string]struct{}); seen != nil {
+					if len(seen) != 0 {
+						t.Fatalf("ID set went back to the pool holding %v", seen)
+					}
+					return
+				}
+				s.Validate()
+			}
+			t.Fatal("Validate never returned its ID set to the pool")
+		})
+	}
+}
+
 // TestPlanFromCore: the wire plan's placement reflects the enacted
 // actions and Diff reconstructs deltas between consecutive plans.
 func TestPlanFromCore(t *testing.T) {

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -200,7 +201,7 @@ func instancesWire(m map[cluster.NodeID]res.CPU) []Instance {
 	for n, s := range m {
 		out = append(out, Instance{Node: string(n), ShareMHz: float64(s)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	slices.SortFunc(out, func(a, b Instance) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
 
@@ -342,9 +343,7 @@ func FromCorePlan(st *core.State, p *core.Plan) (*Plan, error) {
 				Instances: instancesWire(inst),
 			})
 		}
-		sort.Slice(wire.Placement.Apps, func(i, j int) bool {
-			return wire.Placement.Apps[i].ID < wire.Placement.Apps[j].ID
-		})
+		slices.SortFunc(wire.Placement.Apps, func(a, b AppPlacement) int { return cmp.Compare(a.ID, b.ID) })
 	}
 
 	wire.Diagnostics = Diagnostics{

@@ -17,6 +17,7 @@ package slaplace_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,7 +262,7 @@ func BenchmarkPlacementScale(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Fresh demand level every iteration: measure genuine
 				// carry-over re-plans, never exact-snapshot replays.
-				st.Apps[0].Lambda = 65 + 0.1*float64(i%50+1)
+				st = withLambda(st, 65+0.1*float64(i%50+1))
 				plan := ctrl.Plan(st)
 				if plan == nil {
 					b.Fatal("nil plan")
@@ -311,7 +312,7 @@ func TestIncrementalReplanSpeedup(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		// A fresh demand level every round: each re-plan is a genuine
 		// carry-over, never an exact-snapshot replay.
-		st.Apps[0].Lambda = 65 + 0.1*float64(i+1)
+		st = withLambda(st, 65+0.1*float64(i+1))
 		start := time.Now()
 		inc.Plan(st)
 		if d := time.Since(start); d < incBest {
@@ -329,10 +330,19 @@ func TestIncrementalReplanSpeedup(t *testing.T) {
 
 	// The speedup must not change a single byte: compare the carry-over
 	// plan against the from-scratch plan at full scale.
-	st.Apps[0].Lambda = 65.25
+	st = withLambda(st, 65.25)
 	if got, want := inc.Plan(st).Digest(), cold.Plan(st).Digest(); got != want {
 		t.Errorf("incremental plan diverges from from-scratch plan at 500/5000")
 	}
+}
+
+// withLambda returns a new snapshot that differs from st only in its
+// first app's arrival rate. A controller may still read a State it was
+// handed, so a drifting cycle never edits st in place.
+func withLambda(st *core.State, lambda float64) *core.State {
+	next := &core.State{Now: st.Now, Nodes: st.Nodes, Jobs: st.Jobs, Apps: slices.Clone(st.Apps)}
+	next.Apps[0].Lambda = lambda
+	return next
 }
 
 // syntheticState builds a half-loaded cluster snapshot for planning

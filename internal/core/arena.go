@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"slaplace/internal/cluster"
@@ -138,7 +139,7 @@ func grow[T any](s []T, n int) []T {
 // counterpart of newPlanContext. The ledgers are rebuilt only when the
 // node set changes.
 func (c *PlacementController) context(st *State, a *planArena) *planContext {
-	if c.ledgers == nil || !nodeInfosEqual(c.nodesSig, st.Nodes) {
+	if c.ledgers == nil || !slices.Equal(c.nodesSig, st.Nodes) {
 		c.ledgers = NewLedgers(st.Nodes)
 		c.nodesSig = append(c.nodesSig[:0], st.Nodes...)
 	} else {
@@ -156,20 +157,6 @@ func (c *PlacementController) context(st *State, a *planArena) *planContext {
 		order:     a.order[:0],
 		scratch:   &a.scratch,
 	}
-}
-
-// nodeInfosEqual reports whether two node lists are identical in
-// content and order.
-func nodeInfosEqual(a, b []NodeInfo) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // reset clears the per-pass ledger state so the book set can host a new

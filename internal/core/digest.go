@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -20,17 +19,32 @@ import (
 // guarantees and the golden plan-sequence fixtures.
 func (p *Plan) Digest() string {
 	h := sha256.New()
+	buf := make([]byte, 0, 4096)
+	// end finishes a line in buf, handing buf to the hash when full.
+	end := func() {
+		buf = append(buf, '\n')
+		if len(buf) >= 4000 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
 	line := func(s string) {
-		io.WriteString(h, s)
-		io.WriteString(h, "\n")
+		buf = append(buf, s...)
+		end()
+	}
+	count := func(label string, n int) {
+		buf = strconv.AppendInt(append(buf, label...), int64(n), 10)
+		end()
 	}
 	f64 := func(v float64) {
-		line(strconv.FormatUint(math.Float64bits(v), 16))
+		buf = strconv.AppendUint(buf, math.Float64bits(v), 16)
+		end()
 	}
 
-	line("actions " + strconv.Itoa(len(p.Actions)))
+	count("actions ", len(p.Actions))
 	for _, a := range p.Actions {
-		line(a.String())
+		buf = a.appendText(buf)
+		end()
 	}
 	f64(p.HypotheticalJobUtility)
 	f64(p.EqualizedUtility)
@@ -42,7 +56,7 @@ func (p *Plan) Digest() string {
 		classes = append(classes, class)
 	}
 	sort.Strings(classes)
-	line("classes " + strconv.Itoa(len(classes)))
+	count("classes ", len(classes))
 	for _, class := range classes {
 		line(class)
 		f64(p.ClassHypoUtility[class])
@@ -54,7 +68,7 @@ func (p *Plan) Digest() string {
 			ids = append(ids, string(id))
 		}
 		sort.Strings(ids)
-		line(label + " " + strconv.Itoa(len(ids)))
+		count(label+" ", len(ids))
 		for _, id := range ids {
 			line(id)
 			f64(m[trans.AppID(id)])
@@ -71,5 +85,6 @@ func (p *Plan) Digest() string {
 	hashCPU("demand", p.AppDemand)
 	hashCPU("target", p.AppTarget)
 
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 
-	"slaplace/internal/cluster"
 	"slaplace/internal/res"
 	"slaplace/internal/workload/batch"
 )
@@ -100,40 +99,28 @@ type PlanStatsProvider interface {
 	PlanStats() PlanStats
 }
 
-// planMemo caches the previous control cycle: the exact snapshot it
-// planned, the plan it produced, and the job priority order it used.
+// planMemo caches the previous control cycle: the snapshot it planned,
+// the plan it produced, and the job priority order it used. The
+// snapshot is the caller's own slices, not a copy: State's ownership
+// rule keeps them unchanged for the next Plan call to compare against.
 type planMemo struct {
 	valid bool
 	now   float64
 	nodes []NodeInfo
 	jobs  []JobInfo
-	apps  []AppInfo // Instances maps are memo-owned, refilled per cycle
+	apps  []AppInfo
 	plan  *Plan
 	order []int32 // job priority order as indices into jobs
 }
 
-// storeMemo snapshots the finished pass. The state is deep-copied into
-// memo-owned buffers: callers may mutate their State between cycles.
+// storeMemo records the finished pass.
 func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 	m := c.memo
 	if m == nil {
 		m = &planMemo{}
 		c.memo = m
 	}
-	m.now = st.Now
-	m.nodes = append(m.nodes[:0], st.Nodes...)
-	m.jobs = append(m.jobs[:0], st.Jobs...)
-	m.apps = grow(m.apps, len(st.Apps))
-	for i := range st.Apps {
-		inst := m.apps[i].Instances // memo-owned; nil in a new slot
-		if inst == nil {
-			inst = make(map[cluster.NodeID]res.CPU, len(st.Apps[i].Instances))
-		}
-		clear(inst)
-		maps.Copy(inst, st.Apps[i].Instances)
-		m.apps[i] = st.Apps[i]
-		m.apps[i].Instances = inst
-	}
+	m.now, m.nodes, m.jobs, m.apps = st.Now, st.Nodes, st.Jobs, st.Apps
 	var buf []Action // the memo's previous actions, overwritten in place
 	if m.plan != nil {
 		buf = m.plan.Actions
@@ -148,13 +135,14 @@ func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 
 // replayMemo returns a copy of the cached plan when the snapshot is
 // identical to the previous one, nil otherwise. Determinism makes this
-// sound: identical states must yield identical plans.
+// sound: identical states must yield identical plans. A hit moves the
+// memo onto st, so the caller's older snapshot is not kept alive.
 func (c *PlacementController) replayMemo(st *State) *Plan {
 	m := c.memo
 	if m == nil || !m.valid || st.Now != m.now {
 		return nil
 	}
-	if !nodeInfosEqual(m.nodes, st.Nodes) {
+	if !slices.Equal(m.nodes, st.Nodes) {
 		return nil
 	}
 	if len(st.Jobs) != len(m.jobs) || len(st.Apps) != len(m.apps) {
@@ -170,6 +158,7 @@ func (c *PlacementController) replayMemo(st *State) *Plan {
 			return nil
 		}
 	}
+	m.nodes, m.jobs, m.apps = st.Nodes, st.Jobs, st.Apps
 	return clonePlan(m.plan, nil)
 }
 
@@ -222,33 +211,11 @@ func ifaceEqual(a, b any) bool {
 func clonePlan(p *Plan, buf []Action) *Plan {
 	cp := *p
 	cp.Actions = append(buf[:0], p.Actions...)
-	cp.ClassHypoUtility = cloneFloatMap(p.ClassHypoUtility)
-	cp.AppPrediction = cloneFloatMap(p.AppPrediction)
-	cp.AppDemand = cloneCPUMap(p.AppDemand)
-	cp.AppTarget = cloneCPUMap(p.AppTarget)
+	cp.ClassHypoUtility = maps.Clone(p.ClassHypoUtility)
+	cp.AppPrediction = maps.Clone(p.AppPrediction)
+	cp.AppDemand = maps.Clone(p.AppDemand)
+	cp.AppTarget = maps.Clone(p.AppTarget)
 	return &cp
-}
-
-func cloneFloatMap[K comparable](m map[K]float64) map[K]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneCPUMap[K comparable](m map[K]res.CPU) map[K]res.CPU {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]res.CPU, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // demandDelta measures, deterministically (state order, not map order),

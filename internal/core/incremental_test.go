@@ -9,6 +9,7 @@ import (
 	"slaplace/internal/cluster"
 	"slaplace/internal/queueing"
 	"slaplace/internal/res"
+	"slaplace/internal/utility"
 	"slaplace/internal/workload/batch"
 	"slaplace/internal/workload/trans"
 )
@@ -212,32 +213,14 @@ func TestIncrementalFallsBackToFull(t *testing.T) {
 	}
 }
 
-// TestIncrementalEquivalenceRandom fuzzes whole state sequences:
-// arbitrary arrivals, completions, state flips, drift and node churn,
-// comparing the incremental controller against a from-scratch plan on
-// every cycle. This is the standing guard on the reuse tiers' soundness
-// conditions.
+// TestIncrementalEquivalenceRandom runs FuzzTierEquivalence's check
+// over 25 fixed seeds, alternating the two start kinds. This is the
+// standing guard on the reuse tiers' soundness conditions.
 func TestIncrementalEquivalenceRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	var incrementalSeen bool
-	for trial := 0; trial < 25; trial++ {
-		// Odd trials start steady (so the carry-over tier is fuzzed and
-		// then randomly broken); even trials start fully random.
-		var st *State
-		if trial%2 == 1 {
-			st = steadyTestState(t, 2+rng.Intn(3), 1+rng.Intn(5))
-		} else {
-			st = randomPlannerState(rng)
-		}
-		inc := New(DefaultConfig())
-		for cycle := 0; cycle < 6; cycle++ {
-			got := inc.Plan(cloneStateDeep(st))
-			want := fromScratchPlan(cloneStateDeep(st))
-			comparePlans(t, fmt.Sprintf("trial %d cycle %d", trial, cycle), got, want)
-			if inc.PlanStats().LastMode == PlanIncremental {
-				incrementalSeen = true
-			}
-			mutatePlannerState(rng, st)
+	for trial := range int64(25) {
+		if tierEquivalence(t, trial, trial%2 == 1) {
+			incrementalSeen = true
 		}
 	}
 	if !incrementalSeen {
@@ -245,10 +228,167 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// FuzzTierEquivalence holds the replay and carry-over tiers to the
+// from-scratch planner. From a steady or a random start it hands one
+// controller six cycles of new States: an exact repeat of the last one,
+// the same instant with one job or app field changed, or a cycle of
+// world drift. Every plan must digest like a new controller's plan of a
+// deep copy; a repeat must replay and a changed snapshot must not.
+//
+//	go test -run '^$' -fuzz 'FuzzTierEquivalence$' -fuzztime 20s ./internal/core
+func FuzzTierEquivalence(f *testing.F) {
+	for seed := range int64(4) {
+		f.Add(seed, seed%2 == 1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steady bool) {
+		tierEquivalence(t, seed, steady)
+	})
+}
+
+// tierEquivalence is FuzzTierEquivalence's check for one (seed, start
+// kind). It reports whether any cycle took the carry-over tier.
+func tierEquivalence(t *testing.T, seed int64, steady bool) (carried bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var st *State
+	if steady {
+		st = steadyTestState(t, 2+rng.Intn(3), 1+rng.Intn(5))
+	} else {
+		st = randomPlannerState(rng)
+	}
+	inc := New(DefaultConfig())
+	const repeat, changed, drift = 0, 1, 2
+	step := drift
+	for cycle := range 6 {
+		label := fmt.Sprintf("seed %d steady %v cycle %d", seed, steady, cycle)
+		got := inc.Plan(st) // st is never changed after this
+		comparePlans(t, label, got, fromScratchPlan(cloneStateDeep(st)))
+		switch mode := inc.PlanStats().LastMode; {
+		case step == repeat && mode != PlanReplayed:
+			t.Fatalf("%s: an exact repeat planned in mode %v", label, mode)
+		case step == changed && mode == PlanReplayed:
+			t.Fatalf("%s: a changed snapshot replayed the last plan", label)
+		case mode == PlanIncremental:
+			carried = true
+		}
+		next := cloneStateDeep(st)
+		switch step = rng.Intn(3); step {
+		case changed:
+			if !changeOneField(rng, next) {
+				step = repeat
+			}
+		case drift:
+			mutatePlannerState(rng, next)
+		}
+		st = next
+	}
+	return carried
+}
+
+// changeOneField changes one field of one job or app of st (which has
+// at least two nodes), keeping the snapshot valid, and reports whether
+// there was a job or app to change.
+func changeOneField(rng *rand.Rand, st *State) bool {
+	if len(st.Jobs)+len(st.Apps) == 0 {
+		return false
+	}
+	if i := rng.Intn(len(st.Jobs) + len(st.Apps)); i < len(st.Jobs) {
+		j := &st.Jobs[i]
+		switch rng.Intn(12) {
+		case 0:
+			j.ID += "x"
+		case 1:
+			j.Class += "x"
+		case 2:
+			switch j.State {
+			case batch.Pending:
+				j.State = batch.Suspended
+			case batch.Suspended:
+				j.State = batch.Pending
+			default:
+				j.State, j.Node, j.Share = batch.Suspended, "", 0
+			}
+		case 3:
+			switch {
+			case j.State != batch.Running:
+				j.Goal += 60
+			case j.Node == st.Nodes[0].ID:
+				j.Node = st.Nodes[1].ID
+			default:
+				j.Node = st.Nodes[0].ID
+			}
+		case 4:
+			j.Share++
+		case 5:
+			j.Migrating = !j.Migrating
+		case 6:
+			j.Remaining += 4500
+		case 7:
+			j.MaxSpeed += 100
+		case 8:
+			j.Mem += 1000
+		case 9:
+			j.Goal += 60
+		case 10:
+			j.Submitted++
+		default:
+			if j.Fn == nil {
+				j.Fn = utility.Linear{Floor: -2}
+			} else {
+				j.Fn = nil
+			}
+		}
+	} else {
+		a := &st.Apps[i-len(st.Jobs)]
+		switch rng.Intn(11) {
+		case 0:
+			a.ID += "x"
+		case 1:
+			a.Lambda = a.Lambda*1.1 + 1
+		case 2:
+			a.RTGoal += 0.5
+		case 3:
+			if m := (queueing.MG1PS{DemandMHzs: 1000, CoreSpeed: 4500}); a.Model != m {
+				a.Model = m
+			} else {
+				a.Model = mg1Model
+			}
+		case 4:
+			if a.Fn == nil {
+				a.Fn = utility.Linear{Floor: -2}
+			} else {
+				a.Fn = nil
+			}
+		case 5:
+			a.InstanceMem += 500
+		case 6:
+			a.MaxPerInstance -= 1000
+		case 7:
+			a.MinInstances = (a.MinInstances + 1) % (len(st.Nodes) + 1)
+		case 8:
+			if a.MaxInstances == 0 {
+				a.MaxInstances = len(st.Nodes)
+			} else {
+				a.MaxInstances = 0
+			}
+		case 9:
+			n := st.Nodes[rng.Intn(len(st.Nodes))].ID
+			if _, ok := a.Instances[n]; ok {
+				delete(a.Instances, n)
+			} else {
+				a.Instances[n] = 1000
+			}
+		default:
+			a.MeasuredRT += 0.1
+		}
+	}
+	return true
+}
+
 // TestSnapshotComparatorsCoverEveryField pins the field counts of the
 // snapshot structs the replay tier compares by hand. If this fails you
 // added a field to JobInfo or AppInfo: extend jobInfoEqual /
-// appInfoEqual (and the fuzzer's mutatePlannerState) to cover it, then
+// appInfoEqual (and FuzzTierEquivalence's changeOneField) to cover it, then
 // bump the count — otherwise replayMemo would treat snapshots differing
 // only in the new field as identical and serve a stale cached plan.
 func TestSnapshotComparatorsCoverEveryField(t *testing.T) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,5 +171,67 @@ func TestActionStringsAndCount(t *testing.T) {
 		if frees := k == SuspendJob || k == RemoveInstance; (Action{Kind: k}).Frees() != frees {
 			t.Errorf("kind %d Frees() = %v", k, !frees)
 		}
+	}
+}
+
+// TestDigestActionLines pins Plan.Digest's action lines, which it
+// appends with strconv, to the fmt formatting they replaced: for every
+// kind (and an unknown one) at the shares where float formatting could
+// differ, each line equals String() and the fmt text, and the digest of
+// a plan of all of them equals the one hashed line by line from fmt.
+func TestDigestActionLines(t *testing.T) {
+	cpu := func(c res.CPU) string {
+		if math.Abs(float64(c)) >= 1000 {
+			return fmt.Sprintf("%.2fGHz", float64(c)/1000)
+		}
+		return fmt.Sprintf("%.0fMHz", float64(c))
+	}
+	format := func(a Action) string {
+		switch a.Kind {
+		case StartJob:
+			return fmt.Sprintf("start job %s on %s @ %s", a.Job, a.Node, cpu(a.Share))
+		case ResumeJob:
+			return fmt.Sprintf("resume job %s on %s @ %s", a.Job, a.Node, cpu(a.Share))
+		case SuspendJob:
+			return fmt.Sprintf("suspend job %s", a.Job)
+		case MigrateJob:
+			return fmt.Sprintf("migrate job %s to %s @ %s", a.Job, a.Node, cpu(a.Share))
+		case SetJobShare:
+			return fmt.Sprintf("set job %s share %s", a.Job, cpu(a.Share))
+		case AddInstance:
+			return fmt.Sprintf("add instance of %s on %s @ %s", a.App, a.Node, cpu(a.Share))
+		case RemoveInstance:
+			return fmt.Sprintf("remove instance of %s from %s", a.App, a.Node)
+		case SetInstanceShare:
+			return fmt.Sprintf("set instance of %s on %s share %s", a.App, a.Node, cpu(a.Share))
+		}
+		return fmt.Sprintf("action of kind %d", a.Kind)
+	}
+	shares := []float64{0, math.Copysign(0, -1), 0.4, 999.5, 1000, 1e21,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	plan := &Plan{HypotheticalJobUtility: 0.25, EqualizedUtility: -1, JobDemand: 4500, JobTarget: 1e-9}
+	var want strings.Builder
+	for k := ActionKind(0); k <= SetInstanceShare+1; k++ {
+		for _, share := range shares {
+			a := Action{Kind: k, Job: "j1", App: "web", Node: "n7", Share: res.CPU(share)}
+			text := format(a)
+			if got := string(a.appendText(nil)); got != text {
+				t.Errorf("kind %d share %v: line %q, want %q", k, share, got, text)
+			}
+			if got := a.String(); got != text {
+				t.Errorf("kind %d share %v: String() %q, want %q", k, share, got, text)
+			}
+			plan.Actions = append(plan.Actions, a)
+			want.WriteString(text + "\n")
+		}
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "actions %d\n%s", len(plan.Actions), want.String())
+	for _, v := range []float64{0.25, -1, 4500, 1e-9} {
+		fmt.Fprintf(h, "%x\n", math.Float64bits(v))
+	}
+	h.Write([]byte("classes 0\nprediction 0\ndemand 0\ntarget 0\n"))
+	if got, want := plan.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Digest() = %s, want %s", got, want)
 	}
 }

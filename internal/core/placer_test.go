@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -357,6 +358,7 @@ func TestJobOnVanishedNodeLeftToEvictionPath(t *testing.T) {
 		t.Errorf("unexpected action for stranded job: %v", a)
 	}
 	// Once the snapshot reports it Suspended, it is re-placed.
+	st = &State{Now: st.Now, Nodes: st.Nodes, Jobs: slices.Clone(st.Jobs)}
 	st.Jobs[0].State = batch.Suspended
 	st.Jobs[0].Node = ""
 	plan = c.Plan(st)

@@ -22,8 +22,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"slaplace/internal/cluster"
 	"slaplace/internal/queueing"
@@ -104,13 +104,19 @@ func (a AppInfo) InstanceNodes() []cluster.NodeID {
 	for n := range a.Instances {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // State is the monitoring snapshot a controller plans from. Only
 // incomplete jobs appear. States are value snapshots: planning must not
 // mutate the world.
+//
+// A State handed to Controller.Plan belongs to the controller from then
+// on: it may read the State, and every slice and map it references,
+// until its next Plan call returns. A caller never changes a State
+// after handing it over; the next cycle gets a new State, which may
+// share unchanged parts with the old one.
 type State struct {
 	Now   float64
 	Nodes []NodeInfo
@@ -223,26 +229,41 @@ type Action struct {
 func (a Action) Frees() bool { return a.Kind == SuspendJob || a.Kind == RemoveInstance }
 
 // String implements fmt.Stringer. Plan.Digest hashes this text.
-func (a Action) String() string {
-	switch a.Kind {
-	case StartJob:
-		return fmt.Sprintf("start job %s on %s @ %v", a.Job, a.Node, a.Share)
-	case ResumeJob:
-		return fmt.Sprintf("resume job %s on %s @ %v", a.Job, a.Node, a.Share)
-	case SuspendJob:
-		return fmt.Sprintf("suspend job %s", a.Job)
-	case MigrateJob:
-		return fmt.Sprintf("migrate job %s to %s @ %v", a.Job, a.Node, a.Share)
-	case SetJobShare:
-		return fmt.Sprintf("set job %s share %v", a.Job, a.Share)
-	case AddInstance:
-		return fmt.Sprintf("add instance of %s on %s @ %v", a.App, a.Node, a.Share)
-	case RemoveInstance:
-		return fmt.Sprintf("remove instance of %s from %s", a.App, a.Node)
-	case SetInstanceShare:
-		return fmt.Sprintf("set instance of %s on %s share %v", a.App, a.Node, a.Share)
+func (a Action) String() string { return string(a.appendText(nil)) }
+
+// actionText is each kind's String layout: the words before its job or
+// app, and those before its node and its share ("" where the kind
+// names none).
+var actionText = [...]struct{ head, node, share string }{
+	StartJob:         {"start job ", " on ", " @ "},
+	ResumeJob:        {"resume job ", " on ", " @ "},
+	SuspendJob:       {"suspend job ", "", ""},
+	MigrateJob:       {"migrate job ", " to ", " @ "},
+	SetJobShare:      {"set job ", "", " share "},
+	AddInstance:      {"add instance of ", " on ", " @ "},
+	RemoveInstance:   {"remove instance of ", " from ", ""},
+	SetInstanceShare: {"set instance of ", " on ", " share "},
+}
+
+// appendText appends String's text to b.
+func (a Action) appendText(b []byte) []byte {
+	if a.Kind < StartJob || a.Kind > SetInstanceShare {
+		return strconv.AppendUint(append(b, "action of kind "...), uint64(a.Kind), 10)
 	}
-	return fmt.Sprintf("action of kind %d", a.Kind)
+	t := actionText[a.Kind]
+	b = append(b, t.head...)
+	if a.Kind <= SetJobShare { // the job kinds come first
+		b = append(b, a.Job...)
+	} else {
+		b = append(b, a.App...)
+	}
+	if t.node != "" {
+		b = append(append(b, t.node...), a.Node...)
+	}
+	if t.share != "" {
+		b = a.Share.Append(append(b, t.share...))
+	}
+	return b
 }
 
 // Plan is a controller's output: actions plus the predictions the
@@ -279,6 +300,8 @@ type Plan struct {
 // must be deterministic: identical states yield identical plans.
 type Controller interface {
 	Name() string
+	// Plan plans st, which the caller must not change afterwards (see
+	// State). The returned plan belongs to the caller.
 	Plan(st *State) *Plan
 }
 

@@ -12,6 +12,7 @@ package res
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // CPU is an amount of CPU power in MHz. It is deliberately a float: the
@@ -33,13 +34,15 @@ const (
 )
 
 // String renders a CPU amount with a readable unit.
-func (c CPU) String() string {
-	switch {
-	case math.Abs(float64(c)) >= 1000:
-		return fmt.Sprintf("%.2fGHz", float64(c)/1000)
-	default:
-		return fmt.Sprintf("%.0fMHz", float64(c))
+func (c CPU) String() string { return string(c.Append(nil)) }
+
+// Append appends String's text to b: GHz to two decimals from 1 GHz
+// up, whole MHz below.
+func (c CPU) Append(b []byte) []byte {
+	if math.Abs(float64(c)) >= 1000 {
+		return append(strconv.AppendFloat(b, float64(c)/1000, 'f', 2, 64), "GHz"...)
 	}
+	return append(strconv.AppendFloat(b, float64(c), 'f', 0, 64), "MHz"...)
 }
 
 // String renders a memory amount with a readable unit.

@@ -223,8 +223,9 @@ func TestIdleSessionFootprintBudget(t *testing.T) {
 	}
 	const sessions = 200
 	// Measured 230 KB on the change that made plan scratch shared (the
-	// per-session arena before it: 350 KB).
-	const maxPerSession = 280_000
+	// per-session arena before it: 350 KB), and 168.5 KB since the
+	// replay memo reads the session's snapshot instead of a copy of it.
+	const maxPerSession = 200_000
 	handler := New(Options{}).Handler()
 	cluster := newSteadyCluster(50, 300)
 	post := func(id string) {

@@ -53,7 +53,7 @@ package shard
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -105,9 +105,7 @@ type partition struct {
 // the shard boundaries survive from cycle to cycle so untouched shards
 // keep byte-identical sub-snapshots.
 type partitionScratch struct {
-	p       partition
-	jobBufs [][]core.JobInfo
-	appBufs [][]core.AppInfo
+	p partition
 
 	// nodeIdx maps node IDs to snapshot indexes; nodeShard maps the
 	// snapshot index to its owning shard. Both persist and are rebuilt
@@ -214,8 +212,10 @@ func abs64(v int64) int64 {
 // split builds the K-way partition of st into the scratch's recycled
 // storage, reusing the previous cycle's shard boundaries unless the
 // node set changed or the demand spread crossed DefaultReshardSpread.
-// The returned partition (and its states) is valid until the next
-// split on the same scratch.
+// The returned partition is valid until the next split on the same
+// scratch. Its states follow core.State's ownership rule: each one's
+// job and app slices are new, never a buffer an inner controller could
+// still be reading, and its nodes are a window onto st's.
 func (sc *partitionScratch) split(st *core.State, k int) *partition {
 	k = effectiveShards(k, len(st.Nodes))
 	n := len(st.Nodes)
@@ -232,8 +232,6 @@ func (sc *partitionScratch) split(st *core.State, k int) *partition {
 		p.jobCount = make([]int, k)
 		p.classCount = make([]map[string]int, k)
 		p.loads = make([]float64, k)
-		sc.jobBufs = make([][]core.JobInfo, k)
-		sc.appBufs = make([][]core.AppInfo, k)
 		sc.instCount = make([]int, k)
 	}
 	p.states = p.states[:k]
@@ -243,7 +241,7 @@ func (sc *partitionScratch) split(st *core.State, k int) *partition {
 
 	// Node identity: rebuild the ID index only when the node set
 	// changed (the common steady-state cycle skips both map fills).
-	topologyChanged := !nodeInfosSame(sc.nodesSig, st.Nodes)
+	topologyChanged := !slices.Equal(sc.nodesSig, st.Nodes)
 	if topologyChanged {
 		sc.nodesSig = append(sc.nodesSig[:0], st.Nodes...)
 		if sc.nodeIdx == nil {
@@ -372,7 +370,7 @@ func (sc *partitionScratch) split(st *core.State, k int) *partition {
 	nodeShard := sc.nodeShard[:n]
 
 	// Per-shard states over the boundary blocks (nodes shared, not
-	// copied, with the snapshot).
+	// copied, with the snapshot); the deals fill in jobs and apps.
 	for i := 0; i < k; i++ {
 		sub := p.states[i]
 		*sub = core.State{Now: st.Now, Nodes: st.Nodes[sc.bounds[i]:sc.bounds[i+1]]}
@@ -382,9 +380,7 @@ func (sc *partitionScratch) split(st *core.State, k int) *partition {
 	sc.dealApps(st, k, nodeShard)
 
 	for i := 0; i < k; i++ {
-		p.states[i].Jobs = sc.jobBufs[i]
-		p.states[i].Apps = sc.appBufs[i]
-		p.jobCount[i] = len(sc.jobBufs[i])
+		p.jobCount[i] = len(p.states[i].Jobs)
 	}
 	return p
 }
@@ -526,11 +522,7 @@ func (sc *partitionScratch) dealJobs(st *core.State, k int, jobNode, shardOf, no
 		for c := 0; c < splitChunks; c++ {
 			chunkOff[c*k+s], total = total, total+chunkOff[c*k+s]
 		}
-		buf := sc.jobBufs[s]
-		if cap(buf) < int(total) {
-			buf = make([]core.JobInfo, total)
-		}
-		sc.jobBufs[s] = buf[:total]
+		p.states[s].Jobs = make([]core.JobInfo, total)
 	}
 
 	// Pass 3 (chunked): scatter-copy every job into its slot.
@@ -539,7 +531,7 @@ func (sc *partitionScratch) dealJobs(st *core.State, k int, jobNode, shardOf, no
 		off := chunkOff[c*k : (c+1)*k]
 		for j := lo; j < hi; j++ {
 			s := shardOf[j]
-			sc.jobBufs[s][off[s]] = st.Jobs[j]
+			p.states[s].Jobs[off[s]] = st.Jobs[j]
 			off[s]++
 		}
 	})
@@ -592,9 +584,6 @@ func (sc *partitionScratch) dealJobs(st *core.State, k int, jobNode, shardOf, no
 // ignores offline nodes, exactly like the unsharded pipeline does).
 func (sc *partitionScratch) dealApps(st *core.State, k int, nodeShard []int32) {
 	p := &sc.p
-	for i := range sc.appBufs {
-		sc.appBufs[i] = sc.appBufs[i][:0]
-	}
 	homeless := 0
 	for a := range st.Apps {
 		app := &st.Apps[a]
@@ -632,26 +621,12 @@ func (sc *partitionScratch) dealApps(st *core.State, k int, nodeShard []int32) {
 				}
 				inst[id] = s
 			}
-			sort.Slice(foreign, func(x, y int) bool { return foreign[x] < foreign[y] })
+			slices.Sort(foreign)
 			for _, id := range foreign {
 				p.reconcile = append(p.reconcile, core.Action{Kind: core.RemoveInstance, App: app.ID, Node: id})
 			}
 			sub.Instances = inst
 		}
-		sc.appBufs[home] = append(sc.appBufs[home], sub)
+		p.states[home].Apps = append(p.states[home].Apps, sub)
 	}
-}
-
-// nodeInfosSame reports whether the node lists are identical in content
-// and order (the partitioner's topology signature).
-func nodeInfosSame(a, b []core.NodeInfo) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -521,3 +521,43 @@ func TestOverSizedShardConfig(t *testing.T) {
 		t.Errorf("config shard count not clamped to MaxShards")
 	}
 }
+
+// TestShardedStatesAreNeverReused: an inner controller may read the
+// per-shard State it was handed until its next plan, so split must never
+// write into a State's job or app slices again. At one unchanged
+// instant, a K=4 controller sees one job's remaining work change, then
+// loses nodes until it plans two shards, then gets them back with a job
+// of the idle shard 3 changed. A rewritten buffer would show a shard's
+// memo the new snapshot and replay a stale plan. Every plan must equal
+// a new sharded controller's plan of a deep copy.
+func TestShardedStatesAreNeverReused(t *testing.T) {
+	base := &core.State{Now: 5000, Nodes: testNodes(8)}
+	for i := range 16 {
+		j := testJob(fmt.Sprintf("j%02d", i), batch.Running, base.Nodes[i%8].ID, 3000,
+			res.Work(4500*float64(2000+100*i)), 6500+float64(100*i), 0) // late even at full speed
+		j.Share = 2000
+		base.Jobs = append(base.Jobs, j)
+	}
+	base.Jobs = append(base.Jobs, testJob("p00", batch.Pending, "", 12000, 4500*3000, 30000, 10))
+	lessWork := func(st *core.State, job int) *core.State {
+		next := cloneState(st)
+		next.Jobs[job].Remaining -= 4500 * 600
+		return next
+	}
+	drifted := lessWork(base, 0) // j00 runs on n000, in shard 0
+	shrunk := cloneState(drifted)
+	shrunk.Nodes = shrunk.Nodes[:2]
+	back := lessWork(drifted, 15) // j15 runs on n007, in shard 3
+
+	ctrl := New(Config{Shards: 4})
+	for i, st := range []*core.State{base, drifted, shrunk, back} {
+		got := ctrl.Plan(st)
+		if k := ctrl.Diagnostics().EffectiveShards; k != min(4, len(st.Nodes)) {
+			t.Fatalf("snapshot %d planned as %d shards", i, k)
+		}
+		want := New(Config{Shards: 4}).Plan(cloneState(st))
+		if got.Digest() != want.Digest() {
+			t.Errorf("snapshot %d: plan differs from a new controller's\n got %v\nwant %v", i, got.Actions, want.Actions)
+		}
+	}
+}

@@ -179,7 +179,7 @@ func BenchmarkShardedPlacement(b *testing.B) {
 				b.StartTimer()
 				// Fresh demand level every iteration: genuine carry-over
 				// re-plans, never exact-snapshot replays.
-				st.Apps[0].Lambda = 65 + 0.1*float64(i%50+1)
+				st = withLambda(st, 65+0.1*float64(i%50+1))
 				if plan := ctrl.Plan(st); plan == nil {
 					b.Fatal("nil plan")
 				}
