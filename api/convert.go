@@ -520,7 +520,7 @@ func (d *SnapshotDelta) ApplyTo(base *core.State) (*core.State, error) {
 			st.Nodes[i] = core.NodeInfo{ID: cluster.NodeID(n.ID), CPU: res.CPU(n.CPUMHz), Mem: res.Memory(n.MemMB)}
 		}
 	} else {
-		st.Nodes = append([]core.NodeInfo(nil), base.Nodes...)
+		st.Nodes = base.Nodes // States are never changed once built
 	}
 
 	var err error

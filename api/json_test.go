@@ -420,7 +420,9 @@ func tenantState(tb testing.TB) *core.State {
 
 // BenchmarkCodecs measures what one tenant-sized request costs in each
 // codec: decoding the plan request, encoding the plan response, and the
-// client decoding that response.
+// client decoding that response. binary/decodeRequest500x5000 decodes
+// a plan request the size of the churn benchmark's (500 nodes, 5000
+// jobs).
 func BenchmarkCodecs(b *testing.B) {
 	st := tenantState(b)
 	snap, err := FromCoreState(st)
@@ -479,6 +481,22 @@ func BenchmarkCodecs(b *testing.B) {
 			}
 		})
 	}
+	large, err := FromCoreState(largeState(b, 500, 5000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var largeBody bytes.Buffer
+	if err := EncodePlanRequestBinary(&largeBody, &PlanRequest{SchemaVersion: SchemaVersion, ClusterID: "c0", Snapshot: large}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("binary/decodeRequest500x5000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodePlanRequestBinary(bytes.NewReader(largeBody.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestJSONNumbersParseExactly: the reader's short-decimal path returns

@@ -24,7 +24,7 @@ import (
 // largeState is a cluster whose documents are several spill chunks
 // long: every node hosts a web instance and two running jobs, the rest
 // of the jobs queue.
-func largeState(t *testing.T, nodes, jobs int) *core.State {
+func largeState(t testing.TB, nodes, jobs int) *core.State {
 	t.Helper()
 	model, err := queueing.NewMG1PS(1350, 4500)
 	if err != nil {

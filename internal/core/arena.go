@@ -13,8 +13,7 @@ import (
 // planScratch is the recycled working storage of the placement phases:
 // the two node indexes (index.go) and the selection scratch buffers.
 // It lives inside the plan-scoped planArena, so index storage is reused
-// across plans; standalone contexts (newPlanContext) allocate one
-// lazily on first use.
+// across plans.
 type planScratch struct {
 	// pickIdx / webIdx are the job- and web-placement node indexes;
 	// their bucket and heap backing arrays persist across cycles.
@@ -47,6 +46,12 @@ type planScratch struct {
 	// headroom, indexed by Ledger.pos.
 	rebCands []*PlannedJob
 	heads    []res.CPU
+
+	// classes are the targets phase's per-class utility sums.
+	classes []classSum
+
+	// orderKeys and orderTmp are sortJobs' radix buffers.
+	orderKeys, orderTmp []jobKey
 
 	// instNodes holds every app's sorted instance nodes, app i's at
 	// [instAt[i], instAt[i+1]); planContext.instanceNodes fills it once
@@ -135,13 +140,14 @@ func grow[T any](s []T, n int) []T {
 }
 
 // context opens a planning pass over the controller's ledgers, backed
-// by the arena's recycled scratch. It is the allocation-free
-// counterpart of newPlanContext. The ledgers are rebuilt only when the
-// node set changes.
+// by the arena's recycled scratch. The ledgers are rebuilt only when the
+// node set changes; the State's own node list is the signature they
+// are checked against, since a caller never changes a State it handed
+// over.
 func (c *PlacementController) context(st *State, a *planArena) *planContext {
 	if c.ledgers == nil || !slices.Equal(c.nodesSig, st.Nodes) {
 		c.ledgers = NewLedgers(st.Nodes)
-		c.nodesSig = append(c.nodesSig[:0], st.Nodes...)
+		c.nodesSig = st.Nodes
 	} else {
 		c.ledgers.reset()
 	}

@@ -71,7 +71,7 @@ func poisonFreeArenas(nodeIDs []cluster.NodeID, appIDs []trans.AppID) int {
 			garbage[i] = utility.NewJobCurve("garbage", 0, res.Work(1+rng.Float64()*1e7),
 				res.CPU(1+rng.Float64()*9000), rng.Float64()*5000, nil)
 		}
-		utility.EqualizeWith(&a.eqScratch, garbage, 12345)
+		utility.EqualizeWith(&a.eqScratch, garbage, 12345, rng.Float64())
 		if a.appTarget == nil {
 			a.appTarget = map[trans.AppID]res.CPU{}
 		}
@@ -105,6 +105,9 @@ func poisonFreeArenas(nodeIDs []cluster.NodeID, appIDs []trans.AppID) int {
 		fillCap(sc.heads, res.CPU(nan))
 		fillCap(sc.instNodes, "bogus")
 		fillCap(sc.instAt, math.MinInt32)
+		fillCap(sc.classes, classSum{class: "bogus", sum: nan, n: -1})
+		fillCap(sc.orderKeys, jobKey{key: 1, pj: bogusJob})
+		fillCap(sc.orderTmp, jobKey{key: 0, pj: bogusJob})
 	}
 	return len(arenas.free)
 }

@@ -380,7 +380,7 @@ func (c *PlacementController) orderedPlanned(ctx *planContext) []*PlannedJob {
 		for i := 0; ok && i+1 < n; i++ {
 			// Strictness also rejects any non-permutation: a repeated
 			// index ties with itself and fails.
-			if !jobLess(ctx.order[i], ctx.order[i+1]) {
+			if jobCmp(ctx.order[i], ctx.order[i+1]) >= 0 {
 				ok = false
 			}
 		}
@@ -388,9 +388,7 @@ func (c *PlacementController) orderedPlanned(ctx *planContext) []*PlannedJob {
 			return ctx.order
 		}
 	}
-	ctx.order = append(ctx.order[:0], ctx.planned...)
-	slices.SortFunc(ctx.order, jobCmp)
-	return ctx.order
+	return ctx.sortedOrder()
 }
 
 // neededInstances computes the web-placement phase's desired instance

@@ -15,6 +15,25 @@ import (
 	"slaplace/internal/workload/batch"
 )
 
+// waterfillJobs divides capacity among jobs, each capped at its target
+// ceiling: the job's max speed (a running job may receive more than its
+// hypothetical target because only placed jobs can use real CPU).
+func waterfillJobs(jobs []*PlannedJob, capacity res.CPU) []res.CPU {
+	return waterfillJobsInto(&planScratch{}, jobs, capacity)
+}
+
+// TotalMem sums node memory capacity.
+func (s *State) TotalMem() res.Memory {
+	var sum res.Memory
+	for _, n := range s.Nodes {
+		sum += n.Mem
+	}
+	return sum
+}
+
+// jobLess reports whether a precedes b in the placement order.
+func jobLess(a, b *PlannedJob) bool { return jobCmp(a, b) < 0 }
+
 // pj builds a PlannedJob with the given speed cap for waterfill tests.
 func pj(cap res.CPU) *PlannedJob {
 	return &PlannedJob{Info: JobInfo{MaxSpeed: cap}}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"slaplace/internal/cluster"
@@ -29,7 +30,7 @@ import (
 //
 // Phases communicate only through the context — each reads what
 // earlier phases wrote — which makes them individually testable: build
-// a context with newPlanContext, run a prefix of the pipeline, and
+// a context over a fresh arena, run a prefix of the pipeline, and
 // inspect the books.
 //
 // Plan itself is incremental across control cycles (incremental.go):
@@ -56,12 +57,9 @@ type planContext struct {
 	// carry-over) used; the controller memoizes it for the next cycle.
 	order []*PlannedJob
 
-	// arena, when non-nil, is the scratch this pass borrowed.
-	arena *planArena
-
-	// scratch is the phases' recycled working storage (node indexes and
-	// selection buffers) — the arena's when planning through the
-	// controller, lazily allocated for standalone contexts.
+	// arena is the scratch this pass borrowed, and scratch its phases'
+	// working storage (node indexes and selection buffers).
+	arena   *planArena
 	scratch *planScratch
 
 	// Phase-1 products consumed downstream.
@@ -76,7 +74,7 @@ type planContext struct {
 // read the list: every app's list is built and sorted once per pass,
 // into scratch.
 func (ctx *planContext) instanceNodes(ai int) []cluster.NodeID {
-	sc := ctx.ensureScratch()
+	sc := ctx.scratch
 	if !ctx.instSorted {
 		ctx.instSorted = true
 		sc.instNodes, sc.instAt = sc.instNodes[:0], append(sc.instAt[:0], 0)
@@ -92,26 +90,12 @@ func (ctx *planContext) instanceNodes(ai int) []cluster.NodeID {
 	return sc.instNodes[sc.instAt[ai]:sc.instAt[ai+1]:sc.instAt[ai+1]]
 }
 
-// ensureScratch returns the context's working storage, allocating a
-// standalone one when the context is not arena-backed.
-func (ctx *planContext) ensureScratch() *planScratch {
-	if ctx.scratch == nil {
-		ctx.scratch = &planScratch{}
-	}
-	return ctx.scratch
-}
-
-// newPlanContext opens a standalone planning pass: empty plan, freshly
-// allocated books. The controller's Plan goes through the arena-backed
-// planArena.context instead; this constructor serves phase-level tests
-// and one-shot planning.
-func newPlanContext(st *State) *planContext {
-	return &planContext{
-		st:        st,
-		plan:      NewPlan(),
-		ledgers:   NewLedgers(st.Nodes),
-		appTarget: make(map[trans.AppID]res.CPU, len(st.Apps)),
-	}
+// sortedOrder fills ctx.order with the planning records in priority
+// order (sortJobs), sorting in the arena's key buffers.
+func (ctx *planContext) sortedOrder() []*PlannedJob {
+	ctx.order = append(ctx.order[:0], ctx.planned...)
+	sortJobs(ctx.order, &ctx.scratch.orderKeys, &ctx.scratch.orderTmp)
+	return ctx.order
 }
 
 // Pipeline returns the controller's phases in execution order — the
@@ -125,17 +109,6 @@ func (c *PlacementController) Pipeline() []Phase {
 		{"rebalance", c.phaseRebalance},
 		{"emit", c.phaseEmit},
 	}
-}
-
-// PhaseNames lists the pipeline's stage names in order, for
-// introspection and logging.
-func (c *PlacementController) PhaseNames() []string {
-	phases := c.Pipeline()
-	names := make([]string, len(phases))
-	for i, ph := range phases {
-		names[i] = ph.Name
-	}
-	return names
 }
 
 // Plan implements Controller by running the pipeline with the
@@ -219,50 +192,29 @@ func (c *PlacementController) PlanStats() PlanStats {
 // per node with running jobs' residency seeded, one PlannedJob per
 // incomplete job carrying its equalized target.
 func (c *PlacementController) phaseTargets(ctx *planContext) {
-	st, plan := ctx.st, ctx.plan
-	if ctx.ledgers == nil {
-		ctx.ledgers = NewLedgers(st.Nodes)
-	}
+	st, plan, a := ctx.st, ctx.plan, ctx.arena
 
-	var curves []utility.Curve
-	if a := ctx.arena; a != nil {
-		ctx.appCurves = a.appCurves[:0]
-		curves = a.curves[:0]
-	}
+	// The job curves are rebuilt in the recycled slab instead of
+	// allocating 10^5 fresh curves per cycle. Recycled slots are
+	// overwritten wholesale (JobCurve.Fill) before use.
+	ctx.appCurves = a.appCurves[:0]
 	for i := range st.Apps {
 		ctx.appCurves = append(ctx.appCurves, st.Apps[i].Curve())
 	}
-	curves = append(curves, ctx.appCurves...)
-	if a := ctx.arena; a != nil {
-		// Arena-backed pass: rebuild the job curves in the recycled slab
-		// instead of allocating 10^5 fresh curves per cycle. Recycled
-		// slots are overwritten wholesale (JobCurve.Fill) before use.
-		a.jobCurveSlab = grow(a.jobCurveSlab, len(st.Jobs))
-		slab := a.jobCurveSlab
-		for i := range st.Jobs {
-			st.Jobs[i].FillCurve(&slab[i], st.Now)
-			curves = append(curves, &slab[i])
-		}
-	} else {
-		for i := range st.Jobs {
-			curves = append(curves, st.Jobs[i].Curve(st.Now))
-		}
+	curves := append(a.curves[:0], ctx.appCurves...)
+	a.jobCurveSlab = grow(a.jobCurveSlab, len(st.Jobs))
+	slab := a.jobCurveSlab
+	for i := range st.Jobs {
+		st.Jobs[i].FillCurve(&slab[i], st.Now)
+		curves = append(curves, &slab[i])
 	}
-	if a := ctx.arena; a != nil {
-		a.appCurves = ctx.appCurves
-		a.curves = curves
+	a.appCurves, a.curves = ctx.appCurves, curves
+	eq := utility.EqualizeWith(&a.eqScratch, curves, st.TotalCPU(), c.level)
+	if !math.IsNaN(eq.Level) {
+		c.level = eq.Level
 	}
-	jobCurves := curves[len(st.Apps):]
-	var eqScratch *utility.EqualizeScratch
-	if a := ctx.arena; a != nil {
-		eqScratch = &a.eqScratch
-	}
-	eq := utility.EqualizeWith(eqScratch, curves, st.TotalCPU())
 	plan.EqualizedUtility = eq.Equalized
 
-	if ctx.appTarget == nil {
-		ctx.appTarget = make(map[trans.AppID]res.CPU, len(st.Apps))
-	}
 	for i := range st.Apps {
 		ctx.appTarget[st.Apps[i].ID] = eq.Shares[i].Alloc
 		plan.AppDemand[st.Apps[i].ID] = ctx.appCurves[i].MaxUseful()
@@ -271,29 +223,29 @@ func (c *PlacementController) phaseTargets(ctx *planContext) {
 	// Planning records, with running jobs' residency on the books.
 	// Recycled records hold an earlier pass's contents: each is assigned
 	// a whole struct literal below before any field is read.
-	var records []PlannedJob
-	if a := ctx.arena; a != nil {
-		a.records, a.planned = grow(a.records, len(st.Jobs)), grow(a.planned, len(st.Jobs))
-		records, ctx.planned = a.records, a.planned
-	} else {
-		records = make([]PlannedJob, len(st.Jobs))
-		ctx.planned = make([]*PlannedJob, len(st.Jobs))
-	}
+	a.records, a.planned = grow(a.records, len(st.Jobs)), grow(a.planned, len(st.Jobs))
+	records := a.records
+	ctx.planned = a.planned
 	var jobUtilSum float64
-	classSum := map[string]float64{}
-	classN := map[string]int{}
+	// Per-class utility sums, each in job order; classes are few, so a
+	// linear scan finds a job's.
+	classes := ctx.scratch.classes[:0]
 	for i := range st.Jobs {
 		sh := eq.Shares[len(st.Apps)+i]
 		jobUtilSum += sh.Utility
-		classSum[st.Jobs[i].Class] += sh.Utility
-		classN[st.Jobs[i].Class]++
-		plan.JobDemand += jobCurves[i].MaxUseful()
-
-		records[i] = PlannedJob{
-			Info: st.Jobs[i], Target: sh.Alloc, idx: int32(i),
-			lax: st.Jobs[i].Laxity(st.Now),
+		class := st.Jobs[i].Class
+		k := slices.IndexFunc(classes, func(c classSum) bool { return c.class == class })
+		if k < 0 {
+			k, classes = len(classes), append(classes, classSum{class: class})
 		}
+		classes[k].sum += sh.Utility
+		classes[k].n++
+		plan.JobDemand += slab[i].MaxUseful()
+
 		pj := &records[i]
+		*pj = PlannedJob{Target: sh.Alloc, idx: int32(i)}
+		pj.Info = st.Jobs[i]
+		pj.lax = pj.Info.Laxity(st.Now)
 		ctx.planned[i] = pj
 		if pj.Info.State == batch.Running {
 			l, ok := ctx.ledgers.Get(pj.Info.Node)
@@ -311,9 +263,17 @@ func (c *PlacementController) phaseTargets(ctx *planContext) {
 	}
 	if len(st.Jobs) > 0 {
 		plan.HypotheticalJobUtility = jobUtilSum / float64(len(st.Jobs))
-		plan.ClassHypoUtility = make(map[string]float64, len(classSum))
-		for class, sum := range classSum {
-			plan.ClassHypoUtility[class] = sum / float64(classN[class])
+		plan.ClassHypoUtility = make(map[string]float64, len(classes))
+		for _, c := range classes {
+			plan.ClassHypoUtility[c.class] = c.sum / float64(c.n)
 		}
 	}
+	ctx.scratch.classes = classes
+}
+
+// classSum is one job class's hypothetical utility sum and job count.
+type classSum struct {
+	class string
+	sum   float64
+	n     int
 }

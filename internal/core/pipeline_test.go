@@ -6,7 +6,29 @@ import (
 	"slaplace/internal/cluster"
 	"slaplace/internal/res"
 	"slaplace/internal/workload/batch"
+	"slaplace/internal/workload/trans"
 )
+
+// newPlanContext opens a standalone planning pass over a fresh arena:
+// empty plan, freshly allocated books.
+func newPlanContext(st *State) *planContext {
+	a := &planArena{appTarget: make(map[trans.AppID]res.CPU, len(st.Apps))}
+	return &planContext{
+		st: st, plan: NewPlan(), ledgers: NewLedgers(st.Nodes),
+		arena: a, appTarget: a.appTarget, scratch: &a.scratch,
+	}
+}
+
+// PhaseNames lists the pipeline's stage names in order, for
+// introspection and logging.
+func (c *PlacementController) PhaseNames() []string {
+	phases := c.Pipeline()
+	names := make([]string, len(phases))
+	for i, ph := range phases {
+		names[i] = ph.Name
+	}
+	return names
+}
 
 // pipelineState builds a contended snapshot for phase tests: three
 // nodes, one web app with an instance, one running and two pending

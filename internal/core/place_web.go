@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"slaplace/internal/cluster"
@@ -23,7 +24,7 @@ type webInst struct {
 func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 	st, plan, ledgers := ctx.st, ctx.plan, ctx.ledgers
 	nodeCount := len(ledgers.Order())
-	sc := ctx.ensureScratch()
+	sc := ctx.scratch
 	cands := &sc.webIdx
 	cands.build(ledgers)
 	defer cands.detach(ledgers)
@@ -147,13 +148,13 @@ func (c *PlacementController) phaseWebPlacement(ctx *planContext) {
 func (c *PlacementController) spreadWebSurplus(ctx *planContext, l *Ledger, surplus res.CPU, appAlloc map[trans.AppID]res.CPU) {
 	st, plan := ctx.st, ctx.plan
 	// Deterministic app order (recycled scratch: one call per node).
-	sc := ctx.ensureScratch()
+	sc := ctx.scratch
 	ids := sc.webIDs[:0]
 	for id := range l.WebApps {
 		ids = append(ids, id)
 	}
 	sc.webIDs = ids
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var totalShare res.CPU
 	for _, id := range ids {
 		totalShare += l.WebApps[id]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -83,10 +84,13 @@ func (c Config) Validate() error {
 type PlacementController struct {
 	mu       sync.Mutex
 	cfg      Config
-	ledgers  *Ledgers // the books for nodesSig, the node list they were built for
-	nodesSig []NodeInfo
+	ledgers  *Ledgers   // the books for nodesSig, the node list they were built for
+	nodesSig []NodeInfo // a planned State's own Nodes, not a copy
 	memo     *planMemo
 	stats    PlanStats
+	// level hints the next plan's equalizer: the last first-round level
+	// (NaN before any). It is never in plan scratch, checkpoints or wire.
+	level float64
 }
 
 var _ Controller = (*PlacementController)(nil)
@@ -98,7 +102,7 @@ func New(cfg Config) *PlacementController {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &PlacementController{cfg: cfg}
+	return &PlacementController{cfg: cfg, level: math.NaN()}
 }
 
 // Name implements Controller.

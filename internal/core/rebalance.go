@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"slaplace/internal/cluster"
 	"slaplace/internal/res"
@@ -23,7 +23,7 @@ func (c *PlacementController) phaseRebalance(ctx *planContext) {
 	if c.cfg.MaxMigrationsPerCycle <= 0 {
 		return
 	}
-	sc := ctx.ensureScratch()
+	sc := ctx.scratch
 	// Most starved first: ascending share/target ratio.
 	cands := sc.rebCands[:0]
 	defer func() { sc.rebCands = cands[:0] }()
@@ -42,13 +42,15 @@ func (c *PlacementController) phaseRebalance(ctx *planContext) {
 	if len(cands) == 0 {
 		return
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		ri := float64(cands[i].Share) / float64(res.Min(cands[i].Target, cands[i].Info.MaxSpeed))
-		rj := float64(cands[j].Share) / float64(res.Min(cands[j].Target, cands[j].Info.MaxSpeed))
-		if ri != rj {
-			return ri < rj
+	// slices.SortStableFunc runs sort.SliceStable's algorithm and asks
+	// only whether cmp < 0, so this is the old less, NaN ratios and all.
+	slices.SortStableFunc(cands, func(a, b *PlannedJob) int {
+		ra := float64(a.Share) / float64(res.Min(a.Target, a.Info.MaxSpeed))
+		rb := float64(b.Share) / float64(res.Min(b.Target, b.Info.MaxSpeed))
+		if ra < rb || ra == rb && a.Info.ID < b.Info.ID {
+			return -1
 		}
-		return cands[i].Info.ID < cands[j].Info.ID
+		return 0
 	})
 
 	ledgers := ctx.ledgers

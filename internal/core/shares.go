@@ -10,7 +10,7 @@ import (
 // any surplus back to the web instances.
 func (c *PlacementController) phaseShares(ctx *planContext) {
 	ledgers := ctx.ledgers
-	sc := ctx.ensureScratch()
+	sc := ctx.scratch
 	// Track each app's planned total so surplus feeding never pushes an
 	// app beyond its maximum useful demand (extra CPU there is wasted).
 	appAlloc := make(map[trans.AppID]res.CPU)
@@ -39,17 +39,11 @@ func (c *PlacementController) phaseShares(ctx *planContext) {
 	})
 }
 
-// waterfillJobs divides capacity among jobs, each capped at its target
-// ceiling: the job's max speed (a running job may receive more than its
-// hypothetical target because only placed jobs can use real CPU).
-func waterfillJobs(jobs []*PlannedJob, capacity res.CPU) []res.CPU {
-	return waterfillJobsInto(&planScratch{}, jobs, capacity)
-}
-
-// waterfillJobsInto is waterfillJobs backed by recycled scratch: the
-// phase runs once per node per cycle, so the fresh slices would
-// otherwise dominate the share phase's allocations. The returned slice
-// aliases the scratch and is valid until the next call on it.
+// waterfillJobsInto divides capacity among jobs, each capped at its
+// target ceiling: the job's max speed (a running job may receive more
+// than its hypothetical target because only placed jobs can use real
+// CPU). It runs once per node per cycle, so it works in recycled
+// scratch; the returned slice aliases it until the next call.
 func waterfillJobsInto(sc *planScratch, jobs []*PlannedJob, capacity res.CPU) []res.CPU {
 	if cap(sc.wfShares) < len(jobs) {
 		sc.wfShares = make([]res.CPU, len(jobs))

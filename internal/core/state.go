@@ -60,7 +60,7 @@ type JobInfo struct {
 // full speed. Negative means the goal is no longer reachable. The
 // planner runs the least-lax jobs first — the discrete counterpart of
 // "give to the least satisfied".
-func (j JobInfo) Laxity(now float64) float64 {
+func (j *JobInfo) Laxity(now float64) float64 {
 	return (j.Goal - now) - j.Remaining.Seconds(j.MaxSpeed)
 }
 
@@ -179,15 +179,6 @@ func (s *State) TotalCPU() res.CPU {
 	var sum res.CPU
 	for _, n := range s.Nodes {
 		sum += n.CPU
-	}
-	return sum
-}
-
-// TotalMem sums node memory capacity.
-func (s *State) TotalMem() res.Memory {
-	var sum res.Memory
-	for _, n := range s.Nodes {
-		sum += n.Mem
 	}
 	return sum
 }

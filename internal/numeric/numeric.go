@@ -1,7 +1,7 @@
 // Package numeric holds the small numerical routines shared by the
 // queueing models and the utility equalizer: monotone root finding by
-// bisection and a few comparison helpers. Everything here is pure and
-// allocation-free on the hot paths.
+// bisection. Everything here is pure and allocation-free on the hot
+// paths.
 //
 // BisectReplay is BisectMonotone at a fraction of the evaluations. It
 // narrows a certified bracket [a, b] by Illinois false position and
@@ -17,6 +17,14 @@
 // that never steps down at all. A nonzero slack must be at least two
 // ulps of |target|+slack, so that rounding target±slack cannot eat the
 // margin.
+//
+// BisectReplay also takes a hint at the root (NaN for none). A hint is
+// certified, never trusted: the first two probes evaluate f at hint ∓ δ
+// (and, when both land on one side, a third where their secant meets
+// the target), each filed as a bracket end only when it clears the
+// slack band. A probe can only tighten the certified bracket, so every
+// hint (NaN, ±Inf, outside [lo, hi], on the root or one ulp off it)
+// returns BisectMonotone's bits; a good one only saves calls.
 package numeric
 
 import (
@@ -69,13 +77,18 @@ func BisectMonotone(f func(float64) float64, target, lo, hi, tol float64) float6
 // this many.
 const replayDebt = 6
 
+// hintSpan is δ, the half-width of a hint's probe pair, as a fraction
+// of hi − lo; tuned on the equalizer's churn and steady sequences.
+const hintSpan = 3e-6
+
 // BisectReplay returns exactly BisectMonotone(f, target, lo, hi, tol),
 // bit for bit, for an f that never steps down by more than slack/2
 // (see the package doc); slack 0 asks for an f that never steps down
-// at all. It calls f at most replayDebt times more than BisectMonotone
-// does, and on smooth f a fraction as often. Its validation, panics
-// and saturating ends are BisectMonotone's.
-func BisectReplay(f func(float64) float64, target, lo, hi, tol, slack float64) float64 {
+// at all. hint is a guess at the root, NaN for none; any hint returns
+// the same bits. It calls f at most replayDebt times more than
+// BisectMonotone does, and on smooth f a fraction as often. Its
+// validation, panics and saturating ends are BisectMonotone's.
+func BisectReplay(f func(float64) float64, target, lo, hi, tol, slack, hint float64) float64 {
 	if math.IsNaN(lo) || math.IsNaN(hi) {
 		panic("numeric: NaN bound")
 	}
@@ -130,6 +143,25 @@ func BisectReplay(f func(float64) float64, target, lo, hi, tol, slack float64) f
 	side, step, band := 0, tol/2, math.NaN()
 	// debt is the probes made less the bisection calls they saved.
 	debt := 0
+	if hi-lo > tol {
+		// hint-δ first: when it certifies above, hint+δ would tell
+		// nothing. When both land on one side, probe where their
+		// secant meets the target.
+		probe := func(x float64) (float64, int) {
+			if !(x > lo && x < hi && x > a && x < b) {
+				return 0, 0
+			}
+			debt++
+			fx := f(x)
+			return fx, certify(x, fx)
+		}
+		d := hintSpan * (hi - lo)
+		f0, s0 := probe(hint - d)
+		f1, s1 := probe(hint + d)
+		if s0 != 0 && s0 == s1 && f0 != f1 {
+			probe(hint + d + (target-f1)*2*d/(f1-f0))
+		}
+	}
 	for hi-lo > tol {
 		mid := lo + (hi-lo)/2
 		if mid == lo || mid == hi {
@@ -196,29 +228,4 @@ func BisectReplay(f func(float64) float64, target, lo, hi, tol, slack float64) f
 // if even f(lo) < target it returns lo; if f(hi) > target it returns hi.
 func BisectDecreasing(f func(float64) float64, target, lo, hi, tol float64) float64 {
 	return BisectMonotone(func(x float64) float64 { return -f(x) }, -target, lo, hi, tol)
-}
-
-// Clamp01 limits v to [0, 1].
-func Clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if lo > hi {
-		panic(fmt.Sprintf("numeric: Clamp lo %v > hi %v", lo, hi))
-	}
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

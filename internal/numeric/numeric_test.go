@@ -69,6 +69,31 @@ func TestBisectAccuracyProperty(t *testing.T) {
 	}
 }
 
+// Clamp01 limits v to [0, 1]; monotoneFn's ramps are built on it.
+func Clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// Clamp limits v to [lo, hi].
+func Clamp(v, lo, hi float64) float64 {
+	if lo > hi {
+		panic("numeric: Clamp lo > hi")
+	}
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
+
 func TestClamps(t *testing.T) {
 	if Clamp01(-0.5) != 0 || Clamp01(1.5) != 1 || Clamp01(0.25) != 0.25 {
 		t.Error("Clamp01 broken")

@@ -56,15 +56,15 @@ func counted(f func(float64) float64, n *int) func(float64) float64 {
 }
 
 // replayCase runs both bisections on one input and checks that the
-// replay returns BisectMonotone's exact bits within its call budget.
-// It returns the two call counts.
-func replayCase(t *testing.T, f func(float64) float64, target, lo, hi, tol, slack float64) (plain, replay int) {
+// replay, given hint, returns BisectMonotone's exact bits within its
+// call budget. It returns the two call counts.
+func replayCase(t *testing.T, f func(float64) float64, target, lo, hi, tol, slack, hint float64) (plain, replay int) {
 	t.Helper()
 	want := BisectMonotone(counted(f, &plain), target, lo, hi, tol)
-	got := BisectReplay(counted(f, &replay), target, lo, hi, tol, slack)
+	got := BisectReplay(counted(f, &replay), target, lo, hi, tol, slack, hint)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("BisectReplay(target %v, [%v, %v], tol %v) = %v (%#x), BisectMonotone %v (%#x)",
-			target, lo, hi, tol, got, math.Float64bits(got), want, math.Float64bits(want))
+		t.Fatalf("BisectReplay(target %v, [%v, %v], tol %v, hint %v) = %v (%#x), BisectMonotone %v (%#x)",
+			target, lo, hi, tol, hint, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	if replay > plain+replayDebt {
 		t.Fatalf("target %v [%v, %v] tol %v: %d calls, BisectMonotone %d + debt %d",
@@ -110,9 +110,18 @@ func TestBisectReplayMatchesBisectMonotone(t *testing.T) {
 				target = flo + (fhi-flo)*rng.Float64()
 			}
 			tol := []float64{0, 1e-9, 1e-12, (hi - lo) * 1e-6}[rng.Intn(4)]
-			p, r := replayCase(t, f, target, lo, hi, tol, 0)
+			p, r := replayCase(t, f, target, lo, hi, tol, 0, math.NaN())
 			plain += p
 			replay += r
+			// Any hint must return the same bits: adversarial ones, and
+			// the root itself and its neighbours.
+			root := BisectMonotone(f, target, lo, hi, tol)
+			for _, hint := range []float64{
+				root, math.Nextafter(root, math.Inf(-1)), math.Nextafter(root, math.Inf(1)),
+				lo, hi, lo - 1, hi + 1, math.Inf(-1), math.Inf(1), lo + (hi-lo)*rng.Float64(),
+			} {
+				replayCase(t, f, target, lo, hi, tol, 0, hint)
+			}
 		}
 		share := float64(replay) / float64(plain)
 		t.Logf("%-18s replay %5d calls, bisection %5d (%.2f)", fam.name, replay, plain, share)
@@ -138,13 +147,15 @@ func TestBisectReplayEdges(t *testing.T) {
 		{0.25, 0, 1, math.NaN()},
 		{math.Inf(1), 0, 1, 1e-9},
 	} {
-		replayCase(t, id, c.target, c.lo, c.hi, c.tol, 0)
+		for _, hint := range []float64{math.NaN(), c.target, c.lo, c.hi, math.Inf(1)} {
+			replayCase(t, id, c.target, c.lo, c.hi, c.tol, 0, hint)
+		}
 	}
 	for _, c := range []struct{ lo, hi float64 }{{5, 1}, {math.NaN(), 1}, {0, math.NaN()}} {
 		for name, bisect := range map[string]func(func(float64) float64, float64, float64, float64, float64) float64{
 			"BisectMonotone": BisectMonotone,
 			"BisectReplay": func(f func(float64) float64, target, lo, hi, tol float64) float64 {
-				return BisectReplay(f, target, lo, hi, tol, 0)
+				return BisectReplay(f, target, lo, hi, tol, 0, math.NaN())
 			},
 		} {
 			func() {
@@ -160,12 +171,14 @@ func TestBisectReplayEdges(t *testing.T) {
 }
 
 // FuzzBisectReplay checks BisectReplay against BisectMonotone on a
-// fuzzed monotone function (drawn from seed), interval, target and
-// tolerance: same panics, same bits, at most replayDebt extra calls.
-// Seed corpus in testdata/fuzz/FuzzBisectReplay.
+// fuzzed monotone function (drawn from seed), interval, target,
+// tolerance and hint: same panics, same bits, at most replayDebt extra
+// calls. Seed corpus in testdata/fuzz/FuzzBisectReplay; the hint-*
+// seeds put the hint outside the interval, at ±Inf, on seed-mixed's
+// root and one ulp either side of it.
 func FuzzBisectReplay(f *testing.F) {
-	f.Add(int64(1), "lcrs", 0.3, -1.0, 1.0, 1e-9)
-	f.Fuzz(func(t *testing.T, seed int64, kinds string, target, lo, hi, tol float64) {
+	f.Add(int64(1), "lcrs", 0.3, -1.0, 1.0, 1e-9, math.NaN())
+	f.Fuzz(func(t *testing.T, seed int64, kinds string, target, lo, hi, tol, hint float64) {
 		if kinds == "" {
 			kinds = "l"
 		}
@@ -182,14 +195,14 @@ func FuzzBisectReplay(f *testing.F) {
 			return false
 		}
 		replay := func(f func(float64) float64, target, lo, hi, tol float64) float64 {
-			return BisectReplay(f, target, lo, hi, tol, 0)
+			return BisectReplay(f, target, lo, hi, tol, 0, hint)
 		}
 		pm, pr := panics(BisectMonotone), panics(replay)
 		if pm != pr {
 			t.Fatalf("BisectMonotone panics %v, BisectReplay %v", pm, pr)
 		}
 		if !pm {
-			replayCase(t, fn, target, lo, hi, tol, 0)
+			replayCase(t, fn, target, lo, hi, tol, 0, hint)
 		}
 	})
 }
@@ -213,7 +226,10 @@ func TestBisectReplaySlack(t *testing.T) {
 		}
 		target := f(lo) + (f(hi)-f(lo))*rng.Float64()
 		slack := 2*amp + 4*math.Abs(target)*0x1p-52
-		p, r := replayCase(t, f, target, lo, hi, 1e-9, slack)
+		p, r := replayCase(t, f, target, lo, hi, 1e-9, slack, math.NaN())
+		// A hint on the root must neither change the bits nor be
+		// trusted inside the slack band.
+		replayCase(t, f, target, lo, hi, 1e-9, slack, BisectMonotone(f, target, lo, hi, 1e-9))
 		plain += p
 		replay += r
 	}

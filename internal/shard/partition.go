@@ -243,7 +243,7 @@ func (sc *partitionScratch) split(st *core.State, k int) *partition {
 	// changed (the common steady-state cycle skips both map fills).
 	topologyChanged := !slices.Equal(sc.nodesSig, st.Nodes)
 	if topologyChanged {
-		sc.nodesSig = append(sc.nodesSig[:0], st.Nodes...)
+		sc.nodesSig = st.Nodes // a State is never changed once handed over
 		if sc.nodeIdx == nil {
 			sc.nodeIdx = make(map[cluster.NodeID]int32, n)
 		} else {

@@ -119,11 +119,17 @@ func (c *JobCurve) DemandFor(u float64) res.CPU {
 	if u >= c.maxUtility {
 		return c.maxSpeed
 	}
-	pStar := c.fn.Invert(u)
-	if math.IsInf(pStar, -1) {
+	return c.demandAtPerf(c.fn.Invert(u))
+}
+
+// demandAtPerf is DemandFor past its utility bounds, given pStar =
+// fn.Invert(u): the equalizer inverts once per function and sweep, and
+// both paths run this one expression shape.
+func (c *JobCurve) demandAtPerf(pStar float64) res.CPU {
+	if pStar < -math.MaxFloat64 { // -Inf
 		return 0
 	}
-	if math.IsInf(pStar, 1) {
+	if pStar > math.MaxFloat64 { // +Inf
 		return c.maxSpeed
 	}
 	ctStar := c.goal - pStar*c.window
@@ -133,15 +139,6 @@ func (c *JobCurve) DemandFor(u float64) res.CPU {
 	}
 	alloc := res.CPU(float64(c.remaining) / dt)
 	return res.Min(alloc, c.maxSpeed)
-}
-
-// ProjectedCompletion returns the completion time under a sustained
-// allocation (+Inf at zero).
-func (c *JobCurve) ProjectedCompletion(alloc res.CPU) float64 {
-	if alloc <= 0 {
-		return math.Inf(1)
-	}
-	return c.now + c.remaining.Seconds(res.Min(alloc, c.maxSpeed))
 }
 
 // JobCompletionUtility scores an *actual* completion against the goal
@@ -262,10 +259,6 @@ func (c *TransCurve) DemandFor(u float64) res.CPU {
 	d := c.model.DemandFor(c.lambda, rtStar)
 	return res.Min(d, c.maxUseful)
 }
-
-// UtilityOfRT scores a measured response time — the "actual utility"
-// the paper plots for the transactional workload in Figure 1.
-func (c *TransCurve) UtilityOfRT(rt float64) float64 { return c.fn.Eval(c.perfOfRT(rt)) }
 
 // Lambda returns the arrival rate the curve was built for.
 func (c *TransCurve) Lambda() float64 { return c.lambda }

@@ -26,6 +26,10 @@ type Result struct {
 	Equalized float64
 	// Allocated is the total CPU handed out; at most the capacity.
 	Allocated res.CPU
+	// Level is the first round's bisected utility level, NaN when no
+	// round bisected: the hint for the next equalization of a drifting
+	// curve set.
+	Level float64
 }
 
 // equalizeTol is the utility-space tolerance of the waterfill bisection.
@@ -42,6 +46,62 @@ type EqualizeScratch struct {
 	spare  []int
 	sat    []int
 	allocs []res.CPU
+
+	// ents holds each input curve's constants; fns are the distinct job
+	// functions a sweep inverts once each, into pStar.
+	ents  []entry
+	fns   []Function
+	pStar [maxFnSlots]float64
+}
+
+// entry is one input curve's constants, read once per equalization
+// (every Curve method is pure), and the slot of a *JobCurve's function
+// in the inversion cache. It holds no pointer, so filling it costs no
+// write barriers.
+type entry struct {
+	slot         int     // -1 uncached, notJob for any other Curve
+	atZero, maxU float64 // UtilityAt(0), MaxUtility()
+	maxUseful    res.CPU
+	stepDown     float64 // demandStepDown
+}
+
+// notJob marks an entry whose curve is no *JobCurve.
+const notJob = -2
+
+// maxFnSlots bounds the inversion cache.
+const maxFnSlots = 8
+
+// fnSlot returns fn's slot in the inversion cache, adding it when there
+// is room. Only this package's functions are cached: their Invert is
+// pure and their types comparable, so == functions invert alike.
+func (sc *EqualizeScratch) fnSlot(fn Function) int {
+	for s, f := range sc.fns {
+		if f == fn {
+			return s
+		}
+	}
+	switch fn.(type) {
+	case Linear, Sigmoid, *Piecewise:
+		if len(sc.fns) < maxFnSlots {
+			sc.fns = append(sc.fns, fn)
+			return len(sc.fns) - 1
+		}
+	}
+	return -1
+}
+
+// demand is c.DemandFor(u) for the *JobCurve c of e, its inversion
+// read from pStar when cached there.
+func (e *entry) demand(c *JobCurve, u float64, pStar *[maxFnSlots]float64) res.CPU {
+	switch {
+	case u <= c.utilityAtZero:
+		return 0
+	case u >= c.maxUtility:
+		return c.maxSpeed
+	case e.slot < 0:
+		return c.demandAtPerf(c.fn.Invert(u))
+	}
+	return c.demandAtPerf(pStar[e.slot])
 }
 
 // Equalize computes the paper's hypothetical-utility allocation: divide
@@ -60,7 +120,7 @@ type EqualizeScratch struct {
 // The input curves are not mutated; Equalize is a pure function, so the
 // controller can probe what-if scenarios freely.
 func Equalize(curves []Curve, capacity res.CPU) Result {
-	return EqualizeWith(nil, curves, capacity)
+	return EqualizeWith(nil, curves, capacity, math.NaN())
 }
 
 // EqualizeWith is Equalize backed by recycled working storage. The
@@ -70,14 +130,18 @@ func Equalize(curves []Curve, capacity res.CPU) Result {
 // bit-identical: the scratch changes where intermediates live, never
 // what arithmetic runs. The utility level is found by
 // numeric.BisectReplay, which lands on plain bisection's exact level
-// with a fraction of the demand sweeps.
-func EqualizeWith(sc *EqualizeScratch, curves []Curve, capacity res.CPU) Result {
-	return equalize(sc, curves, capacity, numeric.BisectReplay)
+// with a fraction of the demand sweeps. hint is a guess at the first
+// round's level (NaN for none), such as the Level of the previous
+// equalization of a drifting curve set; later rounds start from the
+// round before. A hint changes only the number of sweeps, never a bit
+// of the Result.
+func EqualizeWith(sc *EqualizeScratch, curves []Curve, capacity res.CPU, hint float64) Result {
+	return equalize(sc, curves, capacity, hint, numeric.BisectReplay)
 }
 
 // bisector is the utility search equalize runs on the demand sweep:
 // numeric.BisectReplay, or in tests the BisectMonotone it must match.
-type bisector func(g func(float64) float64, target, lo, hi, tol, slack float64) float64
+type bisector func(g func(float64) float64, target, lo, hi, tol, slack, hint float64) float64
 
 // demandStepDown bounds how far c.DemandFor may step down, in floating
 // point, between two utility levels u1 < u2: DemandFor(u1) exceeds
@@ -107,7 +171,9 @@ func sweepSlack(n int, maxUseful res.CPU, stepDown float64) float64 {
 }
 
 // equalize is EqualizeWith with the utility search as a parameter.
-func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bisector) Result {
+// Job curves are read through their entries, every other curve through
+// the Curve interface, in the same order over active.
+func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, hint float64, bisect bisector) Result {
 	if capacity < 0 {
 		panic(fmt.Sprintf("utility: negative capacity %v", capacity))
 	}
@@ -118,13 +184,22 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 		sc.shares = make([]Share, len(curves))
 		sc.active = make([]int, len(curves))
 		sc.spare = make([]int, 0, len(curves))
+		sc.ents = make([]entry, len(curves))
 	}
-	r := Result{Shares: sc.shares[:len(curves)]}
+	r := Result{Shares: sc.shares[:len(curves)], Level: math.NaN()}
+	ents := sc.ents[:len(curves)]
+	sc.fns = sc.fns[:0]
 	for i, c := range curves {
 		if c == nil {
 			panic(fmt.Sprintf("utility: nil curve at index %d", i))
 		}
 		r.Shares[i] = Share{Curve: c}
+		e := &ents[i]
+		if jc, ok := c.(*JobCurve); ok {
+			*e = entry{sc.fnSlot(jc.fn), jc.utilityAtZero, jc.maxUtility, jc.maxSpeed, demandStepDown(jc)}
+		} else {
+			*e = entry{notJob, c.UtilityAt(0), c.MaxUtility(), c.MaxUseful(), demandStepDown(c)}
+		}
 	}
 	if len(curves) == 0 {
 		return r
@@ -137,18 +212,32 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 	spare := sc.spare[:0]
 	remaining := capacity
 
-	// demandAt is the equalizer's demand function: the CPU workload i
-	// needs to sit at utility level u. At or above its saturation level
-	// the workload receives its full useful allocation — this matters
-	// for "hopeless" workloads whose curve is flat at the utility floor
+	invert := func(u float64) {
+		for s, fn := range sc.fns {
+			sc.pStar[s] = fn.Invert(u)
+		}
+	}
+	// g is the equalizer's demand sweep: the CPU the active workloads
+	// need to sit at utility level u. At or above its saturation level
+	// a workload receives its full useful allocation — this matters for
+	// "hopeless" workloads whose curve is flat at the utility floor
 	// (e.g. a job whose goal is unreachable): pure curve inversion
 	// would starve them, whereas the paper's policy keeps feeding the
 	// least satisfied work so it finishes as early as it still can.
-	demandAt := func(i int, u float64) res.CPU {
-		if u >= curves[i].MaxUtility()-equalizeTol {
-			return curves[i].MaxUseful()
+	g := func(u float64) float64 {
+		invert(u)
+		var sum res.CPU
+		for _, i := range active {
+			switch e := &ents[i]; {
+			case u >= e.maxU-equalizeTol:
+				sum += e.maxUseful
+			case e.slot != notJob:
+				sum += e.demand(curves[i].(*JobCurve), u, &sc.pStar)
+			default:
+				sum += curves[i].DemandFor(u)
+			}
 		}
-		return curves[i].DemandFor(u)
+		return float64(sum)
 	}
 
 	for len(active) > 0 && remaining >= 0 {
@@ -159,35 +248,32 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 		var maxUsefulSum res.CPU
 		var stepDown float64
 		for _, i := range active {
-			uLo = math.Min(uLo, curves[i].UtilityAt(0))
-			uHi = math.Max(uHi, curves[i].MaxUtility())
-			maxUsefulSum += curves[i].MaxUseful()
-			stepDown += demandStepDown(curves[i])
+			uLo = math.Min(uLo, ents[i].atZero)
+			uHi = math.Max(uHi, ents[i].maxU)
+			maxUsefulSum += ents[i].maxUseful
+			stepDown += ents[i].stepDown
 		}
 		if maxUsefulSum <= remaining {
 			// Everyone can saturate; hand out max useful and stop.
 			for _, i := range active {
-				a := curves[i].MaxUseful()
+				a := ents[i].maxUseful
 				r.Shares[i].Alloc = a
 				remaining -= a
 			}
 			break
 		}
-		g := func(u float64) float64 {
-			var sum res.CPU
-			for _, i := range active {
-				sum += demandAt(i, u)
-			}
-			return float64(sum)
+		uStar := bisect(g, float64(remaining), uLo, uHi, equalizeTol, sweepSlack(len(active), maxUsefulSum, stepDown), hint)
+		if math.IsNaN(r.Level) {
+			r.Level = uStar
 		}
-		uStar := bisect(g, float64(remaining), uLo, uHi, equalizeTol, sweepSlack(len(active), maxUsefulSum, stepDown))
+		hint = uStar
 
 		// Saturated curves cannot reach uStar no matter what; give them
 		// their cap and redistribute what is left to the rest.
 		saturated := sc.sat[:0]
 		rest := spare[:0]
 		for _, i := range active {
-			if curves[i].MaxUtility() <= uStar+equalizeTol {
+			if ents[i].maxU <= uStar+equalizeTol {
 				saturated = append(saturated, i)
 			} else {
 				rest = append(rest, i)
@@ -202,8 +288,13 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 				sc.allocs = make([]res.CPU, len(active))
 			}
 			allocs := sc.allocs[:len(active)]
+			invert(uStar)
 			for k, i := range active {
-				allocs[k] = curves[i].DemandFor(uStar)
+				if e := &ents[i]; e.slot != notJob {
+					allocs[k] = e.demand(curves[i].(*JobCurve), uStar, &sc.pStar)
+				} else {
+					allocs[k] = curves[i].DemandFor(uStar)
+				}
 				sum += allocs[k]
 			}
 			scale := 1.0
@@ -222,14 +313,14 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 		// them proportionally to their caps.
 		var satSum res.CPU
 		for _, i := range saturated {
-			satSum += curves[i].MaxUseful()
+			satSum += ents[i].maxUseful
 		}
 		scale := 1.0
 		if satSum > remaining && satSum > 0 {
 			scale = float64(remaining) / float64(satSum)
 		}
 		for _, i := range saturated {
-			a := res.CPU(float64(curves[i].MaxUseful()) * scale)
+			a := res.CPU(float64(ents[i].maxUseful) * scale)
 			r.Shares[i].Alloc = a
 			remaining -= a
 		}
@@ -241,7 +332,12 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 	// Score the final allocations.
 	r.Equalized = math.Inf(1)
 	for i := range r.Shares {
-		u := r.Shares[i].Curve.UtilityAt(r.Shares[i].Alloc)
+		var u float64
+		if ents[i].slot != notJob {
+			u = curves[i].(*JobCurve).UtilityAt(r.Shares[i].Alloc)
+		} else {
+			u = r.Shares[i].Curve.UtilityAt(r.Shares[i].Alloc)
+		}
 		r.Shares[i].Utility = u
 		r.Equalized = math.Min(r.Equalized, u)
 		r.Allocated += r.Shares[i].Alloc
@@ -250,55 +346,4 @@ func equalize(sc *EqualizeScratch, curves []Curve, capacity res.CPU, bisect bise
 		r.Equalized = 0
 	}
 	return r
-}
-
-// MeanUtility returns the unweighted mean predicted utility of a subset
-// of shares selected by the filter (nil selects all). The paper's
-// Figure 1 plots this over the long-running jobs.
-func (r Result) MeanUtility(filter func(Curve) bool) float64 {
-	var sum float64
-	var n int
-	for i := range r.Shares {
-		if filter != nil && !filter(r.Shares[i].Curve) {
-			continue
-		}
-		sum += r.Shares[i].Utility
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// AllocOf returns the allocation granted to the curve with the given ID
-// (0, false when absent).
-func (r Result) AllocOf(id string) (res.CPU, bool) {
-	for i := range r.Shares {
-		if r.Shares[i].Curve.ID() == id {
-			return r.Shares[i].Alloc, true
-		}
-	}
-	return 0, false
-}
-
-// TotalDemandFor sums DemandFor(u) over a set of curves — the aggregate
-// CPU a utility target would cost. Used by Figure 2's demand series.
-func TotalDemandFor(curves []Curve, u float64) res.CPU {
-	var sum res.CPU
-	for _, c := range curves {
-		sum += c.DemandFor(math.Min(u, c.MaxUtility()))
-	}
-	return sum
-}
-
-// MaxUsefulTotal sums the maximum useful demand over curves — the CPU
-// that would make every workload fully satisfied (the "demand to
-// achieve maximum utility" plotted in Figure 2).
-func MaxUsefulTotal(curves []Curve) res.CPU {
-	var sum res.CPU
-	for _, c := range curves {
-		sum += c.MaxUseful()
-	}
-	return sum
 }
