@@ -95,9 +95,9 @@ func BenchmarkFigure2_AllocationTracksDemand(b *testing.B) {
 	for _, p := range r.Recorder.Series("jobs/alloc").Points() {
 		jobAllocPeak = math.Max(jobAllocPeak, p.V)
 	}
-	webDemand, _ := r.Recorder.Series("trans/web/demand").Last()
+	webDemand := r.Recorder.Series("trans/web/demand").Summarize().Last
 	webAllocMin := seriesMin(r, "trans/web/alloc", 1200, 72000)
-	b.ReportMetric(webDemand.V/1000, "webDemand-GHz")
+	b.ReportMetric(webDemand/1000, "webDemand-GHz")
 	b.ReportMetric(webAllocMin/1000, "webAllocMin-GHz")
 	b.ReportMetric(jobDemandPeak/1000, "jobDemandPeak-GHz")
 	b.ReportMetric(jobAllocPeak/capacity*100, "jobAllocPeak-pct")

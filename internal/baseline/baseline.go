@@ -171,7 +171,7 @@ func placeFullSpeed(st *core.State, plan *core.Plan, ledgers *core.Ledgers,
 						suspended[victim] = true
 						plan.Actions = append(plan.Actions, core.Action{Kind: core.SuspendJob, Job: victim})
 						l, _ := ledgers.Get(v.Node)
-						l.Release(*v)
+						l.Release(v.Mem)
 						delete(shares, victim)
 						if l.FreeMem() >= j.Mem {
 							best = v.Node
@@ -185,7 +185,7 @@ func placeFullSpeed(st *core.State, plan *core.Plan, ledgers *core.Ledgers,
 			continue // waits in queue
 		}
 		l, _ := ledgers.Get(best)
-		l.Occupy(*j)
+		l.Occupy(j.Mem)
 		shares[j.ID] = j.MaxSpeed
 		if j.State == batch.Pending {
 			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: best, Share: j.MaxSpeed})

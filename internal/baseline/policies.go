@@ -226,7 +226,7 @@ func (FairShare) Plan(st *core.State) *core.Plan {
 			continue
 		}
 		l, _ := ledgers.Get(best)
-		l.Occupy(*j)
+		l.Occupy(j.Mem)
 		shares[j.ID] = share
 		if j.State == batch.Pending {
 			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: best, Share: share})

@@ -65,9 +65,7 @@ func (b *Backend) Stats() Stats { return b.engine.Stats() }
 // perturbed.
 func (b *Backend) Snapshot(t0, now float64) *core.State {
 	st := b.engine.Step(b.inner.Snapshot(t0, now), b.opts.World)
-	// The audit copy: the session may adjust the state in place (e.g.
-	// forecast corrections) before planning.
-	b.lastSnap = cloneState(st)
+	b.lastSnap = st
 	if rec := b.opts.Recorder; rec != nil {
 		rec.Series("chaos/nodesVisible").Add(now, float64(len(st.Nodes)))
 		s := b.engine.Stats()
@@ -91,9 +89,6 @@ func (b *Backend) Enact(plan *core.Plan) {
 			b.violations++
 			if b.firstViolation == "" {
 				b.firstViolation = err.Error()
-			}
-			if rec := b.opts.Recorder; rec != nil {
-				rec.AddCounter("chaos/invariantViolations", 1)
 			}
 			if b.opts.OnViolation != nil {
 				b.opts.OnViolation(err)

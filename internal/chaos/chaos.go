@@ -238,9 +238,10 @@ func (e *Engine) Cycle() int { return e.cycle }
 
 // Step perturbs one cycle's snapshot. st is the true monitoring state;
 // the returned state is what the controller should be shown. st is not
-// mutated. World calls (crashes, restores) land after st was taken, so
-// their effects surface in the next cycle's snapshot — the mid-cycle
-// timing the families model.
+// mutated, and the returned state is read-only like every State: a
+// stale replay hands it out again. World calls (crashes, restores)
+// land after st was taken, so their effects surface in the next
+// cycle's snapshot — the mid-cycle timing the families model.
 func (e *Engine) Step(st *core.State, w World) *core.State {
 	e.cycle++
 	e.stats.Cycles++
@@ -261,14 +262,14 @@ func (e *Engine) Step(st *core.State, w World) *core.State {
 	if s := e.cfg.Stale; s != nil && e.prev != nil {
 		if s.RegressEvery > 0 && e.cycle%s.RegressEvery == 0 {
 			e.stats.Regressions++
-			return cloneState(e.prev) // verbatim: old clock and all
+			return e.prev // verbatim: old clock and all
 		}
 		if s.DuplicateEvery > 0 && e.cycle%s.DuplicateEvery == 0 {
 			e.stats.Duplicates++
-			out := cloneState(e.prev)
-			out.Now = st.Now
-			e.prev = cloneState(out)
-			return out
+			dup := *e.prev // States are read-only, so the copy shares their slices
+			dup.Now = st.Now
+			e.prev = &dup
+			return e.prev
 		}
 	}
 
@@ -277,7 +278,7 @@ func (e *Engine) Step(st *core.State, w World) *core.State {
 	e.applyFlap(out)
 	e.applyWave(out, w)
 	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].ID < out.Nodes[j].ID })
-	e.prev = cloneState(out)
+	e.prev = out
 	return out
 }
 
@@ -512,8 +513,8 @@ func sortedIDs(set map[cluster.NodeID]bool) []cluster.NodeID {
 	return out
 }
 
-// cloneState deep-copies a snapshot so perturbation never aliases the
-// backend's (or a previous cycle's) state.
+// cloneState deep-copies the inner snapshot so perturbation never
+// edits the backend's state.
 func cloneState(st *core.State) *core.State {
 	cp := &core.State{Now: st.Now}
 	cp.Nodes = append([]core.NodeInfo(nil), st.Nodes...)

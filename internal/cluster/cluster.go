@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"slaplace/internal/res"
 )
@@ -99,22 +98,6 @@ func (c *Cluster) Add(id NodeID, cpu res.CPU, mem res.Memory) (*Node, error) {
 	return n, nil
 }
 
-// Remove deletes a node from the cluster entirely. Callers must have
-// evacuated its VMs first; the vm manager enforces that.
-func (c *Cluster) Remove(id NodeID) error {
-	if _, ok := c.nodes[id]; !ok {
-		return fmt.Errorf("cluster: remove of unknown node %q", id)
-	}
-	delete(c.nodes, id)
-	for i, nid := range c.order {
-		if nid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
 // Node looks a node up by ID.
 func (c *Cluster) Node(id NodeID) (*Node, bool) {
 	n, ok := c.nodes[id]
@@ -132,19 +115,6 @@ func (c *Cluster) SetOnline(id NodeID, online bool) bool {
 	return true
 }
 
-// Size returns the number of nodes, online or not.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Nodes returns all nodes in insertion order. The slice is fresh; the
-// *Node pointers are shared.
-func (c *Cluster) Nodes() []*Node {
-	out := make([]*Node, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.nodes[id])
-	}
-	return out
-}
-
 // OnlineNodes returns the online nodes in insertion order.
 func (c *Cluster) OnlineNodes() []*Node {
 	out := make([]*Node, 0, len(c.order))
@@ -154,37 +124,4 @@ func (c *Cluster) OnlineNodes() []*Node {
 		}
 	}
 	return out
-}
-
-// TotalCPU returns the summed CPU power of online nodes.
-func (c *Cluster) TotalCPU() res.CPU {
-	var sum res.CPU
-	for _, n := range c.nodes {
-		if n.online {
-			sum += n.cpu
-		}
-	}
-	return sum
-}
-
-// TotalMem returns the summed memory of online nodes.
-func (c *Cluster) TotalMem() res.Memory {
-	var sum res.Memory
-	for _, n := range c.nodes {
-		if n.online {
-			sum += n.mem
-		}
-	}
-	return sum
-}
-
-// IDs returns the node IDs sorted lexicographically; convenient for
-// stable test assertions.
-func (c *Cluster) IDs() []NodeID {
-	ids := make([]NodeID, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

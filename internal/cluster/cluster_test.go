@@ -43,37 +43,17 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	c := New()
-	c.Add("a", 1, 1)
-	c.Add("b", 1, 1)
-	if err := c.Remove("a"); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if err := c.Remove("a"); err == nil {
-		t.Error("double remove succeeded")
-	}
-	if c.Size() != 1 {
-		t.Errorf("Size = %d, want 1", c.Size())
-	}
-	nodes := c.Nodes()
-	if len(nodes) != 1 || nodes[0].ID() != "b" {
-		t.Errorf("Nodes after remove: %v", nodes)
-	}
-}
-
 func TestUniform(t *testing.T) {
 	c := Uniform(25, 18000, 16000)
-	if c.Size() != 25 {
-		t.Fatalf("Size = %d, want 25", c.Size())
+	nodes := c.OnlineNodes()
+	if len(nodes) != 25 {
+		t.Fatalf("%d nodes, want 25", len(nodes))
 	}
-	if c.TotalCPU() != 25*18000 {
-		t.Errorf("TotalCPU = %v, want %v", c.TotalCPU(), res.CPU(25*18000))
+	for _, n := range nodes {
+		if n.CPU() != 18000 || n.Mem() != 16000 {
+			t.Errorf("node %v, want 18000 MHz and 16000 MB", n)
+		}
 	}
-	if c.TotalMem() != 25*16000 {
-		t.Errorf("TotalMem = %v", c.TotalMem())
-	}
-	nodes := c.Nodes()
 	if nodes[0].ID() != "node-001" || nodes[24].ID() != "node-025" {
 		t.Errorf("unexpected node naming: %v ... %v", nodes[0].ID(), nodes[24].ID())
 	}
@@ -96,18 +76,15 @@ func TestOnlineToggleAffectsTotals(t *testing.T) {
 	if c.SetOnline("nope", false) {
 		t.Error("SetOnline returned true for missing node")
 	}
-	if got := c.TotalCPU(); got != 3000 {
-		t.Errorf("TotalCPU with one node offline = %v, want 3000", got)
-	}
 	if got := len(c.OnlineNodes()); got != 3 {
 		t.Errorf("OnlineNodes = %d, want 3", got)
 	}
-	if c.Size() != 4 {
-		t.Errorf("Size = %d, want 4 (offline still a member)", c.Size())
+	if n, ok := c.Node("node-002"); !ok || n.Online() {
+		t.Errorf("offline node lookup = %v, %v; want it still a member, offline", n, ok)
 	}
 	c.SetOnline("node-002", true)
-	if got := c.TotalCPU(); got != 4000 {
-		t.Errorf("TotalCPU after recovery = %v, want 4000", got)
+	if got := len(c.OnlineNodes()); got != 4 {
+		t.Errorf("OnlineNodes after recovery = %d, want 4", got)
 	}
 }
 
@@ -117,17 +94,10 @@ func TestIterationOrderIsStable(t *testing.T) {
 	for _, id := range ids {
 		c.Add(id, 1, 1)
 	}
-	nodes := c.Nodes()
+	nodes := c.OnlineNodes()
 	for i, n := range nodes {
 		if n.ID() != ids[i] {
-			t.Fatalf("Nodes()[%d] = %v, want insertion order %v", i, n.ID(), ids[i])
-		}
-	}
-	sorted := c.IDs()
-	want := []NodeID{"alpha", "mid", "zeta"}
-	for i := range want {
-		if sorted[i] != want[i] {
-			t.Fatalf("IDs() = %v, want %v", sorted, want)
+			t.Fatalf("OnlineNodes()[%d] = %v, want insertion order %v", i, n.ID(), ids[i])
 		}
 	}
 }

@@ -43,7 +43,6 @@ type SimBackend struct {
 	mgr  *vm.Manager
 	jobs *batch.Runtime
 	web  *trans.Runtime
-	rec  *metrics.Recorder
 
 	// actuationDelay separates the freeing phase from the placing
 	// phase; label names the deferred actuation event.
@@ -58,13 +57,13 @@ var _ ClusterBackend = (*SimBackend)(nil)
 // NewSimBackend wires a simulator backend. web may be nil when the
 // scenario has no transactional workload.
 func NewSimBackend(eng *sim.Engine, cl *cluster.Cluster, mgr *vm.Manager,
-	jobs *batch.Runtime, web *trans.Runtime, rec *metrics.Recorder,
+	jobs *batch.Runtime, web *trans.Runtime,
 	actuationDelay float64, label string) (*SimBackend, error) {
-	if eng == nil || cl == nil || mgr == nil || jobs == nil || rec == nil {
+	if eng == nil || cl == nil || mgr == nil || jobs == nil {
 		return nil, fmt.Errorf("control: nil dependency")
 	}
 	return &SimBackend{
-		eng: eng, cl: cl, mgr: mgr, jobs: jobs, web: web, rec: rec,
+		eng: eng, cl: cl, mgr: mgr, jobs: jobs, web: web,
 		actuationDelay: actuationDelay, label: label,
 	}, nil
 }
@@ -227,7 +226,6 @@ func (b *SimBackend) try(err error) {
 		return
 	}
 	b.failedActions++
-	b.rec.AddCounter("ctrl/actionsFailed", 1)
 }
 
 func (b *SimBackend) appOf(id trans.AppID) (*trans.App, error) {
@@ -261,7 +259,6 @@ func (b *SimBackend) FailNode(id cluster.NodeID) error {
 		return fmt.Errorf("control: unknown node %q", id)
 	}
 	b.mgr.ForceEvict(id)
-	b.rec.AddCounter("faults/nodeFailures", 1)
 	return nil
 }
 

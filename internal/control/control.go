@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"slaplace/internal/cluster"
-	"slaplace/internal/core"
 	"slaplace/internal/metrics"
 	"slaplace/internal/sim"
 	"slaplace/internal/vm"
@@ -56,17 +55,6 @@ type Options struct {
 	// SamplePeriod, when positive, records fine-grained workload
 	// samples between control cycles.
 	SamplePeriod float64
-}
-
-// DefaultOptions matches the paper's evaluation (600 s cycles) with an
-// actuation delay covering the default 20 s suspend latency.
-func DefaultOptions() Options {
-	return Options{
-		CyclePeriod:    600,
-		FirstCycle:     600,
-		ActuationDelay: 25,
-		SamplePeriod:   0,
-	}
 }
 
 // Validate reports option errors.
@@ -100,10 +88,8 @@ type Loop struct {
 	// chaos harness perturbs snapshots and audits plans this way).
 	cycleBackend ClusterBackend
 
-	ran          bool    // at least one cycle has run
-	lastCycleAt  float64 // previous cycle time (monitoring window start)
-	cancelCycle  func()
-	cancelSample func()
+	ran         bool    // at least one cycle has run
+	lastCycleAt float64 // previous cycle time (monitoring window start)
 }
 
 // NewLoop wires a loop together: a SimBackend over the simulator parts
@@ -115,10 +101,10 @@ func NewLoop(eng *sim.Engine, cl *cluster.Cluster, mgr *vm.Manager,
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if sess == nil {
-		return nil, fmt.Errorf("control: nil session")
+	if sess == nil || rec == nil {
+		return nil, fmt.Errorf("control: nil session or recorder")
 	}
-	backend, err := NewSimBackend(eng, cl, mgr, jobs, web, rec,
+	backend, err := NewSimBackend(eng, cl, mgr, jobs, web,
 		opts.ActuationDelay, sess.Name())
 	if err != nil {
 		return nil, err
@@ -136,43 +122,21 @@ func (l *Loop) WrapBackend(wrap func(ClusterBackend) ClusterBackend) {
 	l.cycleBackend = wrap(l.cycleBackend)
 }
 
-// Session returns the loop's planning session.
-func (l *Loop) Session() *Session { return l.sess }
-
 // Cycles returns how many control cycles have executed.
 func (l *Loop) Cycles() int { return l.sess.Cycles() }
 
 // FailedActions returns how many plan actions could not be enacted.
 func (l *Loop) FailedActions() int { return l.backend.FailedActions() }
 
-// Recorder returns the loop's metrics recorder.
-func (l *Loop) Recorder() *metrics.Recorder { return l.rec }
-
 // Start schedules the periodic control cycle (and sampler, if enabled).
 func (l *Loop) Start() {
-	l.cancelCycle = l.eng.Periodic(sim.Time(l.opts.FirstCycle), l.opts.CyclePeriod,
+	l.eng.Periodic(sim.Time(l.opts.FirstCycle), l.opts.CyclePeriod,
 		"control-cycle/"+l.sess.Name(), func(now sim.Time) { l.RunCycle(float64(now)) })
 	if l.opts.SamplePeriod > 0 {
-		l.cancelSample = l.eng.Periodic(0, l.opts.SamplePeriod, "sample", func(now sim.Time) {
+		l.eng.Periodic(0, l.opts.SamplePeriod, "sample", func(now sim.Time) {
 			l.backend.Sample(l.rec, float64(now))
 		})
 	}
-}
-
-// Stop cancels the periodic activities.
-func (l *Loop) Stop() {
-	if l.cancelCycle != nil {
-		l.cancelCycle()
-	}
-	if l.cancelSample != nil {
-		l.cancelSample()
-	}
-}
-
-// Snapshot builds the raw monitoring state for the controller (oracle
-// arrival rates; RunCycle applies the profiler window on top).
-func (l *Loop) Snapshot(now float64) *core.State {
-	return l.backend.State(now)
 }
 
 // RunCycle executes one full monitor → plan → actuate cycle at time

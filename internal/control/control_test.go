@@ -1,6 +1,7 @@
 package control
 
 import (
+	"slices"
 	"testing"
 
 	"slaplace/internal/baseline"
@@ -64,8 +65,8 @@ func webConfig(t *testing.T, lambda float64) trans.Config {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
-		t.Errorf("default options invalid: %v", err)
+	if err := (Options{CyclePeriod: 600, FirstCycle: 600, ActuationDelay: 25}).Validate(); err != nil {
+		t.Errorf("paper options invalid: %v", err)
 	}
 	bad := []Options{
 		{CyclePeriod: 0},
@@ -139,30 +140,29 @@ func TestLoopDeploysWebAndRecordsSeries(t *testing.T) {
 	loop.Start()
 	eng.RunUntil(3000)
 	app, _ := web.App("web")
-	if app.InstanceCount() == 0 {
+	if len(app.InstanceNodes()) == 0 {
 		t.Fatal("no instances placed")
 	}
-	rec := loop.Recorder()
+	rec := loop.rec
 	for _, name := range []string{
 		"trans/web/utility", "trans/web/rt", "trans/web/demand",
 		"trans/web/alloc", "ctrl/equalized",
 	} {
-		if !rec.Has(name) {
+		if !slices.Contains(rec.SeriesNames(), name) {
 			t.Errorf("series %q not recorded", name)
 		}
 	}
 	// No jobs ran in this scenario, so the hypothetical job utility —
 	// meaningless for an empty backlog — must NOT be recorded.
-	if rec.Has("jobs/hypoUtility") {
+	if slices.Contains(rec.SeriesNames(), "jobs/hypoUtility") {
 		t.Error("jobs/hypoUtility recorded despite empty backlog")
 	}
 	// After warm-up the app should be healthy: utility near its cap.
-	last, ok := rec.Series("trans/web/utility").Last()
-	if !ok || last.V < 0.7 {
-		t.Errorf("web utility %v, want healthy (> 0.7)", last.V)
+	if last := rec.Series("trans/web/utility").Summarize().Last; last < 0.7 {
+		t.Errorf("web utility %v, want healthy (> 0.7)", last)
 	}
 	// Fine sampler ran too.
-	if rec.Series("trans/web/rt_fine").Len() == 0 {
+	if rec.Series("trans/web/rt_fine").Summarize().N == 0 {
 		t.Error("fine sampler did not record")
 	}
 }
@@ -182,17 +182,17 @@ func TestLoopMixedWorkloadEqualizes(t *testing.T) {
 	}
 	loop.Start()
 	eng.RunUntil(10000)
-	rec := loop.Recorder()
-	webU, _ := rec.Series("trans/web/utility").Last()
-	jobU, _ := rec.Series("jobs/hypoUtility").Last()
-	if webU.V <= -1 || jobU.V <= -1 {
-		t.Errorf("utilities floored: web %v jobs %v", webU.V, jobU.V)
+	rec := loop.rec
+	webU := rec.Series("trans/web/utility").Summarize().Last
+	jobU := rec.Series("jobs/hypoUtility").Summarize().Last
+	if webU <= -1 || jobU <= -1 {
+		t.Errorf("utilities floored: web %v jobs %v", webU, jobU)
 	}
 	// Both sides got CPU.
-	webAlloc, _ := rec.Series("trans/web/alloc").Last()
-	jobAlloc, _ := rec.Series("jobs/alloc").Last()
-	if webAlloc.V <= 0 || jobAlloc.V <= 0 {
-		t.Errorf("allocations: web %v jobs %v", webAlloc.V, jobAlloc.V)
+	webAlloc := rec.Series("trans/web/alloc").Summarize().Last
+	jobAlloc := rec.Series("jobs/alloc").Summarize().Last
+	if webAlloc <= 0 || jobAlloc <= 0 {
+		t.Errorf("allocations: web %v jobs %v", webAlloc, jobAlloc)
 	}
 }
 
@@ -249,7 +249,7 @@ func TestSnapshotReflectsRuntime(t *testing.T) {
 	app, _ := web.App("web")
 	app.AddInstance("node-001", 4000)
 	eng.RunUntil(100)
-	st := loop.Snapshot(100)
+	st := loop.backend.State(100)
 	if len(st.Nodes) != 2 || len(st.Jobs) != 1 || len(st.Apps) != 1 {
 		t.Fatalf("snapshot shape: %d nodes %d jobs %d apps", len(st.Nodes), len(st.Jobs), len(st.Apps))
 	}
@@ -277,30 +277,18 @@ func TestNewLoopValidation(t *testing.T) {
 	if _, err := NewLoop(eng, cl, mgr, jobs, nil, sess, rec, Options{CyclePeriod: 0}); err == nil {
 		t.Error("invalid options accepted")
 	}
-	if _, err := NewLoop(nil, cl, mgr, jobs, nil, sess, rec, DefaultOptions()); err == nil {
+	opts := Options{CyclePeriod: 600, FirstCycle: 600, ActuationDelay: 25}
+	if _, err := NewLoop(nil, cl, mgr, jobs, nil, sess, rec, opts); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := NewLoop(eng, cl, mgr, jobs, nil, nil, rec, DefaultOptions()); err == nil {
+	if _, err := NewLoop(eng, cl, mgr, jobs, nil, nil, rec, opts); err == nil {
 		t.Error("nil session accepted")
 	}
 	if _, err := NewSession(nil); err == nil {
 		t.Error("nil controller accepted")
 	}
-	if _, err := NewLoop(eng, cl, mgr, jobs, nil, sess, rec, DefaultOptions()); err != nil {
+	if _, err := NewLoop(eng, cl, mgr, jobs, nil, sess, rec, opts); err != nil {
 		t.Errorf("valid loop rejected: %v", err)
-	}
-}
-
-func TestLoopStopHaltsCycles(t *testing.T) {
-	opts := Options{CyclePeriod: 100, FirstCycle: 10, ActuationDelay: 5}
-	eng, _, _, _, _, loop := rig(t, 1, core.New(core.DefaultConfig()), opts)
-	loop.Start()
-	eng.RunUntil(350)
-	ran := loop.Cycles()
-	loop.Stop()
-	eng.RunUntil(2000)
-	if loop.Cycles() != ran {
-		t.Errorf("cycles advanced after Stop: %d -> %d", ran, loop.Cycles())
 	}
 }
 
@@ -381,7 +369,7 @@ func TestSnapshotMarksMigratingJobs(t *testing.T) {
 	if err := jobs.Migrate("j1", "node-002"); err != nil {
 		t.Fatal(err)
 	}
-	st := loop.Snapshot(100)
+	st := loop.backend.State(100)
 	if len(st.Jobs) != 1 || !st.Jobs[0].Migrating {
 		t.Errorf("snapshot did not flag migrating job: %+v", st.Jobs)
 	}
@@ -394,7 +382,7 @@ func TestSnapshotMarksMigratingJobs(t *testing.T) {
 	}
 	// After the copy completes the flag clears.
 	eng.RunUntil(1000)
-	st = loop.Snapshot(1000)
+	st = loop.backend.State(1000)
 	if st.Jobs[0].Migrating {
 		t.Error("flag still set after migration completed")
 	}

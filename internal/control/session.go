@@ -3,6 +3,8 @@ package control
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"slaplace/api"
@@ -193,20 +195,26 @@ func (s *Session) recordCycle(rec *metrics.Recorder, st *core.State,
 	// on goal" in the figures.
 	if len(st.Jobs) > 0 {
 		rec.Series("jobs/hypoUtility").Add(now, plan.HypotheticalJobUtility)
+		// Classes in sorted order and apps in snapshot order, so series
+		// are created, and exported, in the same order on every run.
 		if len(plan.ClassHypoUtility) > 1 {
-			for class, u := range plan.ClassHypoUtility {
-				rec.Series("jobs/"+class+"/hypoUtility").Add(now, u)
+			for _, class := range slices.Sorted(maps.Keys(plan.ClassHypoUtility)) {
+				rec.Series("jobs/"+class+"/hypoUtility").Add(now, plan.ClassHypoUtility[class])
 			}
 		}
 	}
 	rec.Series("jobs/demand").Add(now, float64(plan.JobDemand))
 	rec.Series("jobs/alloc").Add(now, float64(plan.JobTarget))
 	rec.Series("ctrl/equalized").Add(now, plan.EqualizedUtility)
-	for id, d := range plan.AppDemand {
-		rec.Series("trans/"+string(id)+"/demand").Add(now, float64(d))
+	for _, app := range st.Apps {
+		if d, ok := plan.AppDemand[app.ID]; ok {
+			rec.Series("trans/"+string(app.ID)+"/demand").Add(now, float64(d))
+		}
 	}
-	for id, a := range plan.AppTarget {
-		rec.Series("trans/"+string(id)+"/alloc").Add(now, float64(a))
+	for _, app := range st.Apps {
+		if a, ok := plan.AppTarget[app.ID]; ok {
+			rec.Series("trans/"+string(app.ID)+"/alloc").Add(now, float64(a))
+		}
 	}
 }
 

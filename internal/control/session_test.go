@@ -16,6 +16,7 @@ import (
 	"slaplace/internal/res"
 	"slaplace/internal/shard"
 	"slaplace/internal/workload/batch"
+	"slaplace/internal/workload/trans"
 )
 
 // steadyState builds a crowded snapshot whose discrete placement
@@ -261,7 +262,7 @@ func (fcfsLike) Plan(st *core.State) *core.Plan {
 				return
 			}
 			plan.Actions = append(plan.Actions, core.Action{Kind: core.StartJob, Job: j.ID, Node: l.Info.ID, Share: j.MaxSpeed})
-			l.Occupy(*j)
+			l.Occupy(j.Mem)
 			shares[j.ID] = j.MaxSpeed
 			placed = true
 		})
@@ -578,5 +579,43 @@ func TestSessionShardedController(t *testing.T) {
 	}
 	if s1.Cycles() != 2 {
 		t.Errorf("cycles = %d, want 2", s1.Cycles())
+	}
+}
+
+// TestRecordCycleSeriesOrderIsDeterministic: the series one plan
+// creates, and so the row order of an exported recorder, must not
+// depend on map iteration order.
+func TestRecordCycleSeriesOrderIsDeterministic(t *testing.T) {
+	sess, err := NewSession(core.New(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &core.State{Now: 600}
+	plan := &core.Plan{
+		ClassHypoUtility: map[string]float64{},
+		AppDemand:        map[trans.AppID]res.CPU{},
+		AppTarget:        map[trans.AppID]res.CPU{},
+	}
+	for i, class := range []string{"gold", "silver", "bronze", "batch", "scavenger"} {
+		st.Jobs = append(st.Jobs, core.JobInfo{ID: batch.JobID(fmt.Sprintf("j%d", i)), Class: class})
+		plan.ClassHypoUtility[class] = float64(i) / 10
+	}
+	for i, id := range []trans.AppID{"web-d", "web-a", "web-c", "web-b", "web-e"} {
+		st.Apps = append(st.Apps, core.AppInfo{ID: id})
+		plan.AppDemand[id] = res.CPU(1000 * i)
+		plan.AppTarget[id] = res.CPU(500 * i)
+	}
+	var want []string
+	for run := 0; run < 20; run++ {
+		rec := metrics.NewRecorder()
+		sess.recordCycle(rec, st, plan, core.PlanStats{}, st.Now)
+		got := rec.SeriesNames()
+		if run == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d created series in order %v, run 0 in %v", run, got, want)
+		}
 	}
 }

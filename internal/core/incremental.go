@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -60,8 +59,8 @@ const (
 	// PlanIncremental carried the previous placement over wholesale and
 	// re-ran only the targets, shares, rebalance and emit phases.
 	PlanIncremental
-	// PlanReplayed returned a copy of the cached plan for a snapshot
-	// identical to the previous one.
+	// PlanReplayed returned the cached plan for a snapshot identical to
+	// the previous one.
 	PlanReplayed
 )
 
@@ -101,8 +100,9 @@ type PlanStatsProvider interface {
 
 // planMemo caches the previous control cycle: the snapshot it planned,
 // the plan it produced, and the job priority order it used. The
-// snapshot is the caller's own slices, not a copy: State's ownership
-// rule keeps them unchanged for the next Plan call to compare against.
+// snapshot is the caller's own slices and the plan the one returned,
+// not copies: the ownership rules of State and Controller.Plan keep
+// both unchanged for the next Plan call to compare against and replay.
 type planMemo struct {
 	valid bool
 	now   float64
@@ -121,11 +121,7 @@ func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 		c.memo = m
 	}
 	m.now, m.nodes, m.jobs, m.apps = st.Now, st.Nodes, st.Jobs, st.Apps
-	var buf []Action // the memo's previous actions, overwritten in place
-	if m.plan != nil {
-		buf = m.plan.Actions
-	}
-	m.plan = clonePlan(ctx.plan, buf)
+	m.plan = ctx.plan
 	m.order = m.order[:0]
 	for _, pj := range ctx.order {
 		m.order = append(m.order, pj.idx)
@@ -133,7 +129,7 @@ func (c *PlacementController) storeMemo(st *State, ctx *planContext) {
 	m.valid = true
 }
 
-// replayMemo returns a copy of the cached plan when the snapshot is
+// replayMemo returns the cached plan itself when the snapshot is
 // identical to the previous one, nil otherwise. Determinism makes this
 // sound: identical states must yield identical plans. A hit moves the
 // memo onto st, so the caller's older snapshot is not kept alive.
@@ -159,7 +155,7 @@ func (c *PlacementController) replayMemo(st *State) *Plan {
 		}
 	}
 	m.nodes, m.jobs, m.apps = st.Nodes, st.Jobs, st.Apps
-	return clonePlan(m.plan, nil)
+	return m.plan
 }
 
 // jobInfoEqual compares every field that can influence a plan.
@@ -203,19 +199,6 @@ func ifaceEqual(a, b any) bool {
 		return false
 	}
 	return a == b
-}
-
-// clonePlan deep-copies a plan so cached and returned plans never share
-// mutable structure with each other or with the planning pass. The
-// copy's actions reuse buf's backing array when it is large enough.
-func clonePlan(p *Plan, buf []Action) *Plan {
-	cp := *p
-	cp.Actions = append(buf[:0], p.Actions...)
-	cp.ClassHypoUtility = maps.Clone(p.ClassHypoUtility)
-	cp.AppPrediction = maps.Clone(p.AppPrediction)
-	cp.AppDemand = maps.Clone(p.AppDemand)
-	cp.AppTarget = maps.Clone(p.AppTarget)
-	return &cp
 }
 
 // demandDelta measures, deterministically (state order, not map order),

@@ -155,12 +155,10 @@ func TestReplayTierExactSnapshot(t *testing.T) {
 	if stats.LastMode != PlanReplayed {
 		t.Errorf("last mode %v, want replayed", stats.LastMode)
 	}
-	// The cached plan must not alias the returned ones.
-	first.Actions = nil
-	first.AppTarget["web"] = -1
-	third := inc.Plan(cloneStateDeep(st))
-	if len(third.Actions) != len(second.Actions) || third.AppTarget["web"] == -1 {
-		t.Error("cached plan aliases a returned plan")
+	// Plans are read-only, so a replay hands back the cached plan
+	// itself rather than a copy.
+	if second != first {
+		t.Error("replay returned a copy of the cached plan")
 	}
 }
 

@@ -138,7 +138,7 @@ func TestJobPickIndexMatchesScan(t *testing.T) {
 		case 1: // record a kept running job (residency pre-booked)
 			pj := &PlannedJob{Info: JobInfo{Mem: res.Memory(rng.Intn(4000) + 1000)}}
 			if l.FreeMem() >= pj.Info.Mem {
-				l.Occupy(pj.Info)
+				l.Occupy(pj.Info.Mem)
 				l.AppendJob(pj)
 				records = append(records, pj)
 				onNode[pj] = l
@@ -146,8 +146,8 @@ func TestJobPickIndexMatchesScan(t *testing.T) {
 		case 2: // evict: release residency without a record
 			j := JobInfo{Mem: res.Memory(rng.Intn(3000))}
 			if l.MemUsed >= j.Mem {
-				l.Occupy(j)
-				l.Release(j)
+				l.Occupy(j.Mem)
+				l.Release(j.Mem)
 			}
 		case 3: // migrate a record between ledgers
 			if len(records) > 0 {
@@ -223,7 +223,7 @@ func evictFixture(t *testing.T, margin float64, victims []*PlannedJob) (*Placeme
 	ls := NewLedgers(infos)
 	for _, v := range victims {
 		l, _ := ls.Get(v.Node)
-		l.Occupy(v.Info)
+		l.Occupy(v.Info.Mem)
 	}
 	// Fill every node to the brim so only an eviction can make room.
 	ls.Each(func(l *Ledger) { l.MemUsed = l.Info.Mem })
@@ -373,7 +373,7 @@ func refJobPlacement(c *PlacementController, ctx *planContext) {
 				continue
 			}
 			victim.Suspend = true
-			l.Release(victim.Info)
+			l.Release(victim.Info.Mem)
 			return victim.Node
 		}
 		return ""
@@ -388,7 +388,7 @@ func refJobPlacement(c *PlacementController, ctx *planContext) {
 			l.AppendJob(pj)
 		case pj.Info.State == batch.Running:
 			src, _ := ledgers.Get(pj.Node)
-			src.Release(pj.Info)
+			src.Release(pj.Info.Mem)
 			node := pickNodeScan(pj, ledgers, nodeOrder)
 			if node == "" || node == pj.Info.Node {
 				node = pj.Info.Node

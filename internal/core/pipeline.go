@@ -257,7 +257,7 @@ func (c *PlacementController) phaseTargets(ctx *planContext) {
 				pj.Waiting = true
 				continue
 			}
-			l.Occupy(pj.Info)
+			l.Occupy(pj.Info.Mem)
 			pj.Node = pj.Info.Node
 		}
 	}

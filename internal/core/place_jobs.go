@@ -168,7 +168,7 @@ func (c *PlacementController) phaseJobPlacement(ctx *planContext) {
 			// Churn-oblivious ablation: re-pick the node from scratch
 			// and migrate whenever the choice differs.
 			src, _ := ledgers.Get(pj.Node)
-			src.Release(pj.Info)
+			src.Release(pj.Info.Mem)
 			var node cluster.NodeID
 			best := pick.pick(pj.Info.Mem)
 			if best != nil {
@@ -234,7 +234,7 @@ func (c *PlacementController) evictVictim(pj *PlannedJob, order []*PlannedJob, i
 			continue
 		}
 		victim.Suspend = true
-		l.Release(victim.Info)
+		l.Release(victim.Info.Mem)
 		copy(list[i:], list[i+1:])
 		*evictable = list[:len(list)-1]
 		return victim.Node

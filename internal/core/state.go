@@ -292,7 +292,8 @@ type Plan struct {
 type Controller interface {
 	Name() string
 	// Plan plans st, which the caller must not change afterwards (see
-	// State). The returned plan belongs to the caller.
+	// State). The returned plan is shared and read-only: a controller
+	// may keep it, and return it again for an identical snapshot.
 	Plan(st *State) *Plan
 }
 

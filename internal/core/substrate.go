@@ -82,18 +82,18 @@ func (l *Ledger) FreeMem() res.Memory { return l.Info.Mem - l.MemUsed }
 // FreeCPU is the CPU power not reserved for the web tier.
 func (l *Ledger) FreeCPU() res.CPU { return l.Info.CPU - l.WebShare }
 
-// Occupy books a job's residency — memory and job count — on this
+// Occupy books a job's residency — its memory and one job — on this
 // node. Every policy must debit occupancy through Occupy/Release so
 // the two balance signals (JobCount and memory) never diverge.
-func (l *Ledger) Occupy(j JobInfo) {
-	l.MemUsed += j.Mem
+func (l *Ledger) Occupy(mem res.Memory) {
+	l.MemUsed += mem
 	l.JobCount++
 	l.touch()
 }
 
 // Release undoes Occupy (eviction, preemption, migration away).
-func (l *Ledger) Release(j JobInfo) {
-	l.MemUsed -= j.Mem
+func (l *Ledger) Release(mem res.Memory) {
+	l.MemUsed -= mem
 	l.JobCount--
 	l.touch()
 }
@@ -192,7 +192,7 @@ func (ls *Ledgers) SeedRunning(st *State) {
 			continue
 		}
 		if l, ok := ls.byNode[j.Node]; ok {
-			l.Occupy(*j)
+			l.Occupy(j.Mem)
 		}
 	}
 }

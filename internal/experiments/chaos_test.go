@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"slaplace/internal/baseline"
@@ -97,7 +98,7 @@ func checkChaosResult(t *testing.T, family string, res *Result) {
 		"trans/web/utility", "ops/migrations", "ops/suspends",
 		"chaos/nodesVisible", "chaos/planMigrations", "chaos/planSuspends",
 	} {
-		if !rec.Has(name) {
+		if !slices.Contains(rec.SeriesNames(), name) {
 			t.Errorf("missing series %q", name)
 		}
 	}

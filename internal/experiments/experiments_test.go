@@ -303,9 +303,6 @@ func TestFailureScenario(t *testing.T) {
 	if r.VMCounters.Evictions == 0 {
 		t.Error("fault injection did not evict anything")
 	}
-	if r.Recorder.Counter("faults/nodeFailures") != 2 {
-		t.Errorf("fault counter = %v, want 2", r.Recorder.Counter("faults/nodeFailures"))
-	}
 	if r.JobStats.Completed < 20 {
 		t.Errorf("completed %d jobs under failures", r.JobStats.Completed)
 	}
@@ -336,7 +333,7 @@ func TestDiffServClassUtilitiesEqualized(t *testing.T) {
 	}
 	gold := r.Recorder.Series("jobs/gold/hypoUtility")
 	silver := r.Recorder.Series("jobs/silver/hypoUtility")
-	if gold.Len() == 0 || silver.Len() == 0 {
+	if len(gold.Points()) == 0 || len(silver.Points()) == 0 {
 		t.Fatal("per-class utility series not recorded")
 	}
 	// Compare over the contended middle of the run.

@@ -119,8 +119,8 @@ func TestCorrectorConvergesOnBias(t *testing.T) {
 	if got := c.Factor(); got < 1.8 {
 		t.Fatalf("factor %v after persistent 2x underprediction, want near %v", got, CorrectionMax)
 	}
-	if c.Samples() != 32 {
-		t.Fatalf("samples %d, want 32", c.Samples())
+	if c.samples != 32 {
+		t.Fatalf("samples %d, want 32", c.samples)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestCorrectorDisabledAndDegenerate(t *testing.T) {
 	c.Observe(0, 100)          // no ratio from a zero prediction
 	c.Observe(10, math.Inf(1)) // non-finite observation ignored
 	c.Observe(math.NaN(), 10)  // non-finite prediction ignored
-	if c.Factor() != 1 || c.Samples() != 0 {
-		t.Fatalf("degenerate feedback moved the factor: %v (%d samples)", c.Factor(), c.Samples())
+	if c.Factor() != 1 || c.samples != 0 {
+		t.Fatalf("degenerate feedback moved the factor: %v (%d samples)", c.Factor(), c.samples)
 	}
 }
 

@@ -64,10 +64,6 @@ func (c *Corrector) Factor() float64 {
 	return c.factor
 }
 
-// Samples returns how many prediction/observation pairs have been fed
-// back.
-func (c *Corrector) Samples() int { return c.samples }
-
 // appState is one application's forecasting state.
 type appState struct {
 	hist    []float64 // chronological observation window
@@ -161,15 +157,6 @@ func (f *Forecaster) Forecast(id string, now, observed float64) float64 {
 	p := sanitize(f.pred.Predict(a.hist)*a.corr.Factor(), observed)
 	a.hasPred, a.predFor, a.pred = true, now, p
 	return p
-}
-
-// Factor returns the application's current correction factor (1 for
-// an unknown app).
-func (f *Forecaster) Factor(id string) float64 {
-	if a := f.apps[id]; a != nil {
-		return a.corr.Factor()
-	}
-	return 1
 }
 
 // AppState is one application's exported forecasting state.

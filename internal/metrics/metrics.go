@@ -41,19 +41,8 @@ func (s *Series) Add(t, v float64) {
 	s.pts = append(s.pts, Point{T: t, V: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.pts) }
-
 // Points returns the backing samples (callers must not mutate).
 func (s *Series) Points() []Point { return s.pts }
-
-// Last returns the most recent sample; ok=false when empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.pts) == 0 {
-		return Point{}, false
-	}
-	return s.pts[len(s.pts)-1], true
-}
 
 // ValueAt returns the most recent value at or before t (zero-order
 // hold); ok=false when no sample exists yet at t.
@@ -153,20 +142,15 @@ func (s *Series) Summarize() Summary {
 	}
 }
 
-// Recorder is a registry of named series and counters.
+// Recorder is a registry of named series.
 type Recorder struct {
-	series   map[string]*Series
-	order    []string
-	counters map[string]float64
-	corder   []string
+	series map[string]*Series
+	order  []string
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		series:   make(map[string]*Series),
-		counters: make(map[string]float64),
-	}
+	return &Recorder{series: make(map[string]*Series)}
 }
 
 // Series returns the named series, creating it on first use.
@@ -180,31 +164,9 @@ func (r *Recorder) Series(name string) *Series {
 	return s
 }
 
-// Has reports whether a series with the name exists.
-func (r *Recorder) Has(name string) bool {
-	_, ok := r.series[name]
-	return ok
-}
-
 // SeriesNames returns the series names in creation order.
 func (r *Recorder) SeriesNames() []string {
 	return append([]string(nil), r.order...)
-}
-
-// AddCounter increments a named counter.
-func (r *Recorder) AddCounter(name string, delta float64) {
-	if _, ok := r.counters[name]; !ok {
-		r.corder = append(r.corder, name)
-	}
-	r.counters[name] += delta
-}
-
-// Counter returns a counter's value (0 when absent).
-func (r *Recorder) Counter(name string) float64 { return r.counters[name] }
-
-// CounterNames returns counter names in creation order.
-func (r *Recorder) CounterNames() []string {
-	return append([]string(nil), r.corder...)
 }
 
 // WriteLongCSV writes every series as (series,t,value) rows — robust to

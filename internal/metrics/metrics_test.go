@@ -8,19 +8,16 @@ import (
 
 func TestSeriesAddAndAccessors(t *testing.T) {
 	s := NewSeries("u")
-	if _, ok := s.Last(); ok {
-		t.Error("Last on empty series returned ok")
-	}
 	s.Add(0, 1)
 	s.Add(10, 2)
 	s.Add(10, 3) // equal times allowed
 	s.Add(20, 4)
-	if s.Len() != 4 {
-		t.Errorf("Len = %d", s.Len())
+	pts := s.Points()
+	if len(pts) != 4 {
+		t.Fatalf("%d points, want 4", len(pts))
 	}
-	last, ok := s.Last()
-	if !ok || last.T != 20 || last.V != 4 {
-		t.Errorf("Last = %+v", last)
+	if last := pts[3]; last.T != 20 || last.V != 4 {
+		t.Errorf("last point = %+v", last)
 	}
 	if s.Name() != "u" {
 		t.Errorf("Name = %q", s.Name())
@@ -108,23 +105,12 @@ func TestRecorderSeriesAndCounters(t *testing.T) {
 	r.Series("a").Add(0, 1)
 	r.Series("b").Add(0, 2)
 	r.Series("a").Add(1, 3)
-	if !r.Has("a") || r.Has("zzz") {
-		t.Error("Has broken")
-	}
 	names := r.SeriesNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("SeriesNames = %v", names)
 	}
-	r.AddCounter("migrations", 2)
-	r.AddCounter("migrations", 3)
-	if got := r.Counter("migrations"); got != 5 {
-		t.Errorf("Counter = %v", got)
-	}
-	if got := r.Counter("absent"); got != 0 {
-		t.Errorf("absent counter = %v", got)
-	}
-	if cn := r.CounterNames(); len(cn) != 1 || cn[0] != "migrations" {
-		t.Errorf("CounterNames = %v", cn)
+	if got := len(r.Series("a").Points()); got != 2 {
+		t.Errorf("series a has %d points, want 2", got)
 	}
 }
 
@@ -222,14 +208,14 @@ func TestSlice(t *testing.T) {
 	if sub.Name() != "u" {
 		t.Errorf("Slice lost name: %q", sub.Name())
 	}
-	if sub.Len() != 5 {
-		t.Fatalf("Slice len = %d, want 5", sub.Len())
+	if len(sub.Points()) != 5 {
+		t.Fatalf("Slice len = %d, want 5", len(sub.Points()))
 	}
 	if sub.Points()[0].T != 3 || sub.Points()[4].T != 7 {
 		t.Errorf("Slice window wrong: %v", sub.Points())
 	}
 	// The original is untouched.
-	if s.Len() != 11 {
-		t.Errorf("source mutated: len %d", s.Len())
+	if len(s.Points()) != 11 {
+		t.Errorf("source mutated: len %d", len(s.Points()))
 	}
 }

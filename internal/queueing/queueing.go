@@ -115,18 +115,6 @@ func (m MG1PS) DemandFor(lambda float64, rt float64) res.CPU {
 	return res.CPU(lambda * m.DemandMHzs * rt / (rt - s))
 }
 
-// Utilization returns ρ = λ·d/Ω (may exceed 1 for overload; +Inf at
-// zero allocation with positive load).
-func (m MG1PS) Utilization(lambda float64, alloc res.CPU) float64 {
-	if lambda == 0 {
-		return 0
-	}
-	if alloc <= 0 {
-		return math.Inf(1)
-	}
-	return lambda * m.DemandMHzs / float64(alloc)
-}
-
 // MM1 is the textbook M/M/1 model without a core-speed cap: the server
 // speeds up without bound as the allocation grows. Used as a baseline
 // and in tests; the core cap of MG1PS is what makes utility saturate.

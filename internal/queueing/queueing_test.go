@@ -212,15 +212,6 @@ func TestStabilityDemandAndUtilization(t *testing.T) {
 	if got := m.StabilityDemand(100); got != 135000 {
 		t.Errorf("MG1PS StabilityDemand = %v, want 135000", got)
 	}
-	if got := m.Utilization(100, 270000); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if got := m.Utilization(0, 1000); got != 0 {
-		t.Errorf("idle Utilization = %v", got)
-	}
-	if got := m.Utilization(10, 0); !math.IsInf(got, 1) {
-		t.Errorf("zero-alloc Utilization = %v, want +Inf", got)
-	}
 	mm1 := MM1{DemandMHzs: 1000}
 	if got := mm1.StabilityDemand(3); got != 3000 {
 		t.Errorf("MM1 StabilityDemand = %v", got)

@@ -100,12 +100,6 @@ func AlmostEqual(a, b CPU) bool {
 	return diff <= scale*cpuEps
 }
 
-// AtLeast reports whether a >= b, tolerating floating-point noise.
-func AtLeast(a, b CPU) bool { return a >= b || AlmostEqual(a, b) }
-
-// AtMost reports whether a <= b, tolerating floating-point noise.
-func AtMost(a, b CPU) bool { return a <= b || AlmostEqual(a, b) }
-
 // Work is an amount of computational work in MHz·seconds: the fluid
 // execution model advances a job's completed Work by allocation×Δt.
 type Work float64

@@ -84,18 +84,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 }
 
-func TestAtLeastAtMost(t *testing.T) {
-	if !AtLeast(10, 10) || !AtLeast(10+1e-12, 10) || !AtLeast(10, 10+1e-12) {
-		t.Error("AtLeast mishandles near-equal values")
-	}
-	if AtLeast(9, 10) {
-		t.Error("AtLeast(9,10) = true")
-	}
-	if !AtMost(10, 10) || AtMost(11, 10) {
-		t.Error("AtMost broken")
-	}
-}
-
 func TestWorkSeconds(t *testing.T) {
 	w := WorkFor(4500, 10) // 45000 MHz·s
 	if got := w.Seconds(4500); math.Abs(got-10) > 1e-12 {

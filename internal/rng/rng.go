@@ -31,9 +31,6 @@ func NewSource(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the seed this source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Stream derives a named stream. The same (seed, name) pair always
 // yields the same sequence; distinct names yield independent sequences.
 func (s *Source) Stream(name string) *Stream {
@@ -67,11 +64,6 @@ type Stream struct {
 	// cached second normal variate from the Box-Muller transform
 	hasGauss bool
 	gauss    float64
-}
-
-// NewStream returns a stream seeded directly, mostly for tests.
-func NewStream(seed uint64) *Stream {
-	return &Stream{state: seed}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits (SplitMix64).
@@ -157,19 +149,6 @@ func (r *Stream) Normal(mean, stddev float64) float64 {
 // standard deviation of the underlying normal.
 func (r *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Pareto returns a Pareto(shape, scale) variate (heavy-tailed service
-// demands). It panics if shape <= 0 or scale <= 0.
-func (r *Stream) Pareto(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Pareto with non-positive parameter")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return scale / math.Pow(u, 1/shape)
 }
 
 // Perm returns a uniformly random permutation of [0, n).

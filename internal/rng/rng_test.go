@@ -140,16 +140,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	r := NewSource(8).Stream("pareto")
-	const shape, scale = 2.5, 10.0
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(shape, scale); v < scale {
-			t.Fatalf("Pareto returned %v below scale %v", v, scale)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewSource(9).Stream("perm")
 	p := r.Perm(100)
@@ -207,7 +197,6 @@ func TestPanics(t *testing.T) {
 	mustPanic("Exp(0)", func() { r.Exp(0) })
 	mustPanic("Exp(-1)", func() { r.Exp(-1) })
 	mustPanic("Normal stddev<0", func() { r.Normal(0, -1) })
-	mustPanic("Pareto shape<=0", func() { r.Pareto(0, 1) })
 	mustPanic("Uniform inverted", func() { r.Uniform(2, 1) })
 	mustPanic("Bool(1.5)", func() { r.Bool(1.5) })
 }

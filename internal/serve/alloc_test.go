@@ -35,7 +35,7 @@ func newSteadyCluster(nodes, jobs int) *steadyCluster {
 	c := &steadyCluster{
 		snap:   api.Snapshot{SchemaVersion: api.SchemaVersion, Now: period},
 		jobAt:  make(map[string]int, jobs),
-		demand: rng.NewStream(1),
+		demand: rng.NewSource(1).Stream("demand"),
 	}
 	for i := 0; i < nodes; i++ {
 		c.snap.Nodes = append(c.snap.Nodes, api.Node{ID: fmt.Sprintf("n%04d", i), CPUMHz: 18000, MemMB: 16000})

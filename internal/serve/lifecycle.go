@@ -196,6 +196,3 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return firstErr
 }
-
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }

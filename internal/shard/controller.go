@@ -70,9 +70,6 @@ type Controller struct {
 	// diagnostics (Diagnostics()).
 	lastSpread    float64
 	lastResharded bool
-	// shardEq holds the latest cycle's per-shard equalized utility
-	// levels (diagnostics for the cross-shard utility bound).
-	shardEq []float64
 }
 
 var _ core.Controller = (*Controller)(nil)
@@ -154,10 +151,6 @@ func (c *Controller) Plan(st *core.State) *core.Plan {
 	c.lastK = k
 	c.lastSpread = p.spread
 	c.lastResharded = p.resharded
-	c.shardEq = c.shardEq[:0]
-	for i := 0; i < k; i++ {
-		c.shardEq = append(c.shardEq, plans[i].EqualizedUtility)
-	}
 	return mergePlans(p, plans)
 }
 
@@ -251,16 +244,6 @@ func (c *Controller) Diagnostics() Diagnostics {
 		d.LoadSpread = 1
 	}
 	return d
-}
-
-// ShardUtilities returns the per-shard equalized utility levels of the
-// most recent K>1 plan (nil before the first, or when Shards <= 1).
-// The cross-shard bound tests read these: the global equalized level
-// of an unsharded plan is never below the worst shard's level.
-func (c *Controller) ShardUtilities() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]float64(nil), c.shardEq...)
 }
 
 // PlanStats implements core.PlanStatsProvider by aggregating every

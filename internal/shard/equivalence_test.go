@@ -253,14 +253,15 @@ func TestCrossShardUtilityBound(t *testing.T) {
 			continue
 		}
 		k := 2 + rng.Intn(3)
-		ctrl := New(Config{Shards: k})
-		merged := ctrl.Plan(cloneState(st))
-		levels := ctrl.ShardUtilities()
-		if len(levels) == 0 {
-			t.Fatalf("trial %d: no shard utility levels recorded", trial)
+		merged := New(Config{Shards: k}).Plan(cloneState(st))
+		var sc partitionScratch
+		p := sc.split(cloneState(st), k)
+		if len(p.states) == 0 {
+			t.Fatalf("trial %d: no shards", trial)
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, u := range levels {
+		for _, sub := range p.states {
+			u := fromScratchPlan(sub).EqualizedUtility
 			lo = math.Min(lo, u)
 			hi = math.Max(hi, u)
 		}

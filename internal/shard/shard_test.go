@@ -493,9 +493,6 @@ func TestShardedPlanStats(t *testing.T) {
 	if stats.Replayed == 0 || stats.LastMode != core.PlanReplayed {
 		t.Errorf("identical re-plan did not replay on every shard: %+v", stats)
 	}
-	if eq := ctrl.ShardUtilities(); len(eq) != 2 {
-		t.Errorf("ShardUtilities() = %v, want 2 levels", eq)
-	}
 }
 
 // TestOverSizedShardConfig is a regression test: a shard count far

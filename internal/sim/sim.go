@@ -32,22 +32,11 @@ type Handler func(now Time)
 // Event is a scheduled occurrence. Obtain events from Engine.At/After;
 // the zero value is meaningless.
 type Event struct {
-	when    Time
-	seq     uint64 // tie-break: FIFO among simultaneous events
-	index   int    // heap index, -1 when not queued
-	fire    Handler
-	label   string
-	dropped bool
+	when  Time
+	seq   uint64 // tie-break: FIFO among simultaneous events
+	index int    // heap index, -1 when not queued
+	fire  Handler
 }
-
-// When returns the time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e *Event) Label() string { return e.label }
-
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.dropped }
 
 // eventQueue is a min-heap on (when, seq).
 type eventQueue []*Event
@@ -79,26 +68,12 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// Tracer receives a record of every fired event; used by tests and the
-// -trace flag of the simulator binary. A nil tracer is silent.
-type Tracer interface {
-	Fired(now Time, label string)
-}
-
-// TracerFunc adapts a function to the Tracer interface.
-type TracerFunc func(now Time, label string)
-
-// Fired implements Tracer.
-func (f TracerFunc) Fired(now Time, label string) { f(now, label) }
-
 // Engine is the simulation scheduler. The zero value is ready to use.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	fired   uint64
-	tracer  Tracer
-	stopped bool
+	now   Time
+	queue eventQueue
+	seq   uint64
+	fired uint64
 }
 
 // New returns a fresh engine at time zero.
@@ -110,12 +85,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// SetTracer installs a tracer for fired events (nil disables tracing).
-func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
-
 // At schedules h to run at absolute time when. Scheduling in the past
 // panics: it indicates a logic error that would silently corrupt
 // causality if allowed.
@@ -126,7 +95,7 @@ func (e *Engine) At(when Time, label string, h Handler) *Event {
 	if h == nil {
 		panic("sim: nil handler for " + label)
 	}
-	ev := &Event{when: when, seq: e.seq, fire: h, label: label, index: -1}
+	ev := &Event{when: when, seq: e.seq, fire: h, index: -1}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
@@ -143,32 +112,12 @@ func (e *Engine) After(delay float64, label string, h Handler) *Event {
 // Cancel removes a queued event. Cancelling an already-fired or
 // already-cancelled event is a no-op and returns false.
 func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 || ev.dropped {
+	if ev == nil || ev.index < 0 {
 		return false
 	}
-	ev.dropped = true
 	heap.Remove(&e.queue, ev.index)
 	return true
 }
-
-// Reschedule moves a queued event to a new time, preserving its handler.
-// If the event already fired or was cancelled it returns false.
-func (e *Engine) Reschedule(ev *Event, when Time) bool {
-	if ev == nil || ev.index < 0 || ev.dropped {
-		return false
-	}
-	if when < e.now {
-		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ev.label, when, e.now))
-	}
-	ev.when = when
-	ev.seq = e.seq
-	e.seq++
-	heap.Fix(&e.queue, ev.index)
-	return true
-}
-
-// Stop makes the current Run call return after the in-flight handler.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the single earliest event. It returns false when the queue
 // is empty.
@@ -179,42 +128,21 @@ func (e *Engine) Step() bool {
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.when
 	e.fired++
-	if e.tracer != nil {
-		e.tracer.Fired(e.now, ev.label)
-	}
 	ev.fire(e.now)
 	return true
 }
 
-// RunUntil fires events in order until the queue drains, Stop is called,
-// or the next event is later than horizon. The clock ends at
-// min(horizon, last fired event); it advances to horizon if events ran
-// dry first so periodic observers see a full window.
+// RunUntil fires events in order until the queue drains or the next
+// event is later than horizon, then advances the clock to horizon so
+// periodic observers see a full window.
 func (e *Engine) RunUntil(horizon Time) {
 	if horizon < e.now {
 		panic(fmt.Sprintf("sim: horizon %v before now %v", horizon, e.now))
 	}
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 {
-			break
-		}
-		next := e.queue[0]
-		if next.when > horizon {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].when <= horizon {
 		e.Step()
 	}
-	if e.now < horizon && !e.stopped {
-		e.now = horizon
-	}
-}
-
-// Run fires events until the queue drains or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
-	}
+	e.now = horizon
 }
 
 // Periodic invokes h every period seconds starting at start, until the

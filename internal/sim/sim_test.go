@@ -13,7 +13,8 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		at := at
 		e.At(at, "ev", func(now Time) { got = append(got, now) })
 	}
-	e.Run()
+	for e.Step() {
+	}
 	want := []Time{5, 10, 10, 20, 30}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -32,7 +33,8 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		e.At(100, "tie", func(Time) { order = append(order, i) })
 	}
-	e.Run()
+	for e.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("simultaneous events fired out of scheduling order: %v", order)
@@ -46,7 +48,8 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	e.At(50, "outer", func(now Time) {
 		e.After(25, "inner", func(n Time) { fired = n })
 	})
-	e.Run()
+	for e.Step() {
+	}
 	if fired != 75 {
 		t.Errorf("After(25) from t=50 fired at %v, want 75", fired)
 	}
@@ -62,12 +65,10 @@ func TestCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Error("second Cancel returned true")
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if ran {
 		t.Error("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after cancel")
 	}
 }
 
@@ -75,29 +76,6 @@ func TestCancelNilIsFalse(t *testing.T) {
 	e := New()
 	if e.Cancel(nil) {
 		t.Error("Cancel(nil) = true")
-	}
-}
-
-func TestReschedule(t *testing.T) {
-	e := New()
-	var fired Time
-	ev := e.At(10, "move", func(now Time) { fired = now })
-	if !e.Reschedule(ev, 40) {
-		t.Fatal("Reschedule returned false")
-	}
-	e.At(20, "other", func(Time) {})
-	e.Run()
-	if fired != 40 {
-		t.Errorf("rescheduled event fired at %v, want 40", fired)
-	}
-}
-
-func TestRescheduleFiredEventFails(t *testing.T) {
-	e := New()
-	ev := e.At(1, "x", func(Time) {})
-	e.Run()
-	if e.Reschedule(ev, 5) {
-		t.Error("Reschedule of fired event returned true")
 	}
 }
 
@@ -113,8 +91,8 @@ func TestRunUntilStopsAtHorizon(t *testing.T) {
 	if e.Now() != 100 {
 		t.Errorf("clock at %v after RunUntil(100)", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Errorf("pending = %d, want 1", len(e.queue))
 	}
 	// Continue past the horizon.
 	e.RunUntil(300)
@@ -128,17 +106,6 @@ func TestRunUntilAdvancesClockWhenQueueEmpty(t *testing.T) {
 	e.RunUntil(500)
 	if e.Now() != 500 {
 		t.Errorf("clock = %v, want 500", e.Now())
-	}
-}
-
-func TestStopInsideHandler(t *testing.T) {
-	e := New()
-	fired := 0
-	e.At(1, "a", func(Time) { fired++; e.Stop() })
-	e.At(2, "b", func(Time) { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Errorf("fired %d events after Stop, want 1", fired)
 	}
 }
 
@@ -174,22 +141,11 @@ func TestPeriodicCancel(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := New()
-	var labels []string
-	e.SetTracer(TracerFunc(func(now Time, label string) { labels = append(labels, label) }))
-	e.At(1, "alpha", func(Time) {})
-	e.At(2, "beta", func(Time) {})
-	e.Run()
-	if len(labels) != 2 || labels[0] != "alpha" || labels[1] != "beta" {
-		t.Errorf("tracer saw %v", labels)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(100, "x", func(Time) {})
-	e.Run()
+	for e.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At in the past did not panic")
@@ -223,7 +179,8 @@ func TestFiredCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.At(Time(i), "n", func(Time) {})
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if e.Fired() != 7 {
 		t.Errorf("Fired() = %d, want 7", e.Fired())
 	}
@@ -238,7 +195,8 @@ func TestOrderingProperty(t *testing.T) {
 		for _, raw := range times {
 			e.At(Time(raw), "p", func(now Time) { fired = append(fired, now) })
 		}
-		e.Run()
+		for e.Step() {
+		}
 		if len(fired) != len(times) {
 			return false
 		}
@@ -247,7 +205,7 @@ func TestOrderingProperty(t *testing.T) {
 				return false
 			}
 		}
-		return e.Pending() == 0
+		return len(e.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
@@ -272,7 +230,8 @@ func TestCancelSubsetProperty(t *testing.T) {
 				}
 			}
 		}
-		e.Run()
+		for e.Step() {
+		}
 		return fired == len(times)-cancelled
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {

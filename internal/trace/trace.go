@@ -1,34 +1,24 @@
-// Package trace reads, writes and replays workload traces. The paper's
-// evaluation drives the system with a synthetic trace (800 identical
-// jobs, exponential inter-arrivals); production studies replay recorded
-// traces instead. This package supports both: synthesize a trace from a
-// generator configuration, persist it as CSV, and replay any trace —
-// synthetic or recorded — into a simulation with exact timing.
+// Package trace reads and replays job traces. The paper's evaluation
+// drives the system with a synthetic workload (800 identical jobs,
+// exponential inter-arrivals); production studies replay recorded
+// traces instead. This package replays a recorded trace into a
+// simulation with exact timing.
 //
 // Job trace CSV format (header required):
 //
 //	id,submit,work,maxspeed,mem,goal,class
 //	job-0001,123.4,9e7,4500,5000,40123.4,batch
-//
-// Rate trace CSV format (header required) for web arrival rates:
-//
-//	t,rate
-//	0,65
-//	3600,80
 package trace
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"slaplace/internal/res"
-	"slaplace/internal/rng"
 	"slaplace/internal/sim"
 	"slaplace/internal/workload/batch"
-	"slaplace/internal/workload/trans"
 )
 
 // JobRecord is one job of a workload trace.
@@ -67,35 +57,6 @@ func (r JobRecord) Validate() error {
 
 // jobHeader is the canonical CSV header.
 var jobHeader = []string{"id", "submit", "work", "maxspeed", "mem", "goal", "class"}
-
-// WriteJobs persists records as CSV, sorted by submission time.
-func WriteJobs(w io.Writer, recs []JobRecord) error {
-	sorted := append([]JobRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Submit < sorted[j].Submit })
-	cw := csv.NewWriter(w)
-	if err := cw.Write(jobHeader); err != nil {
-		return err
-	}
-	for _, r := range sorted {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		row := []string{
-			r.ID,
-			strconv.FormatFloat(r.Submit, 'g', -1, 64),
-			strconv.FormatFloat(float64(r.Work), 'g', -1, 64),
-			strconv.FormatFloat(float64(r.MaxSpeed), 'g', -1, 64),
-			strconv.FormatInt(int64(r.Mem), 10),
-			strconv.FormatFloat(r.Goal, 'g', -1, 64),
-			r.Class,
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // ReadJobs parses a job trace CSV.
 func ReadJobs(r io.Reader) ([]JobRecord, error) {
@@ -144,79 +105,6 @@ func ReadJobs(r io.Reader) ([]JobRecord, error) {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Synthesize generates a trace equivalent to what a batch.Generator
-// with the given configuration would submit — useful for persisting a
-// reproducible workload or inspecting it offline. Goals are derived
-// from the class stretch.
-func Synthesize(stream *rng.Stream, class batch.Class, phases []batch.Phase, maxJobs int, idPrefix string) ([]JobRecord, error) {
-	if err := class.Validate(); err != nil {
-		return nil, err
-	}
-	if maxJobs <= 0 {
-		return nil, fmt.Errorf("trace: non-positive job count %d", maxJobs)
-	}
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("trace: no phases")
-	}
-	if idPrefix == "" {
-		idPrefix = class.Name
-	}
-	phaseAt := func(t float64) batch.Phase {
-		cur := phases[0]
-		for _, p := range phases {
-			if p.Start <= t {
-				cur = p
-			} else {
-				break
-			}
-		}
-		return cur
-	}
-	var out []JobRecord
-	t := 0.0
-	for len(out) < maxJobs {
-		ph := phaseAt(t)
-		if ph.DisableSubmission {
-			// Jump to the next enabled phase.
-			advanced := false
-			for _, p := range phases {
-				if p.Start > t && !p.DisableSubmission {
-					t = p.Start
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				break
-			}
-			continue
-		}
-		next := t + stream.Exp(ph.MeanInterarrival)
-		crossed := false
-		for _, p := range phases {
-			if p.Start > t && next > p.Start {
-				t = p.Start
-				crossed = true
-				break
-			}
-		}
-		if crossed {
-			continue // resample from the boundary (memorylessness)
-		}
-		t = next
-		out = append(out, JobRecord{
-			ID:       fmt.Sprintf("%s-%04d", idPrefix, len(out)+1),
-			Submit:   t,
-			Work:     class.Work,
-			MaxSpeed: class.MaxSpeed,
-			Mem:      class.Mem,
-			Goal:     t + class.GoalStretch*class.IdealDuration(),
-			Class:    class.Name,
-		})
 	}
 	return out, nil
 }
@@ -282,59 +170,3 @@ func (r *Replayer) Start() {
 
 // Count returns the number of records the replayer will submit.
 func (r *Replayer) Count() int { return len(r.recs) }
-
-// ReadRates parses a (t, rate) CSV into a web load pattern.
-func ReadRates(r io.Reader) (*trans.Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading rate header: %w", err)
-	}
-	if header[0] != "t" || header[1] != "rate" {
-		return nil, fmt.Errorf("trace: rate header is %v, want [t rate]", header)
-	}
-	var times, rates []float64
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		t, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d time: %w", line, err)
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d rate: %w", line, err)
-		}
-		times = append(times, t)
-		rates = append(rates, v)
-	}
-	return trans.NewTrace(times, rates)
-}
-
-// WriteRates persists a sampled load pattern as a (t, rate) CSV.
-func WriteRates(w io.Writer, pattern trans.LoadPattern, t0, t1, step float64) error {
-	if step <= 0 || t1 < t0 {
-		return fmt.Errorf("trace: invalid sampling window [%v, %v] step %v", t0, t1, step)
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "rate"}); err != nil {
-		return err
-	}
-	for t := t0; t <= t1; t += step {
-		row := []string{
-			strconv.FormatFloat(t, 'g', -1, 64),
-			strconv.FormatFloat(pattern.Lambda(t), 'g', -1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

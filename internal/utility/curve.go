@@ -259,6 +259,3 @@ func (c *TransCurve) DemandFor(u float64) res.CPU {
 	d := c.model.DemandFor(c.lambda, rtStar)
 	return res.Min(d, c.maxUseful)
 }
-
-// Lambda returns the arrival rate the curve was built for.
-func (c *TransCurve) Lambda() float64 { return c.lambda }

@@ -23,7 +23,8 @@ func BenchmarkSetShareRecompute(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			eng.Run()
+			for eng.Step() {
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Alternate the share so the recompute cannot short-circuit.
@@ -45,13 +46,15 @@ func BenchmarkSuspendResumeCycle(b *testing.B) {
 	if err := m.Provision("vm", "node-001", 1024, 4500, 4500); err != nil {
 		b.Fatal(err)
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.Suspend("vm"); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		node := cluster.NodeID("node-001")
 		if i%2 == 1 {
 			node = "node-002"
@@ -59,6 +62,7 @@ func BenchmarkSuspendResumeCycle(b *testing.B) {
 		if err := m.Resume("vm", node, 4500); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 	}
 }

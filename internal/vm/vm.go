@@ -126,15 +126,6 @@ type VM struct {
 	op     *sim.Event     // in-flight transition completion event
 }
 
-// ID returns the VM's identifier.
-func (v *VM) ID() ID { return v.id }
-
-// Mem returns the VM's memory footprint.
-func (v *VM) Mem() res.Memory { return v.mem }
-
-// MaxCPU returns the VM's maximum useful CPU (its speed cap).
-func (v *VM) MaxCPU() res.CPU { return v.maxCPU }
-
 // Share returns the CPU share currently assigned by the controller.
 func (v *VM) Share() res.CPU { return v.share }
 
@@ -147,9 +138,6 @@ func (v *VM) State() State { return v.state }
 
 // Node returns the current host node ("" when none).
 func (v *VM) Node() cluster.NodeID { return v.node }
-
-// MigrationTarget returns the destination while Migrating ("" otherwise).
-func (v *VM) MigrationTarget() cluster.NodeID { return v.dst }
 
 // RateListener observes effective-rate changes. The batch runtime uses
 // it to re-plan job completion events when shares move.
@@ -232,18 +220,6 @@ func (m *Manager) Counters() Counters { return m.count }
 func (m *Manager) VM(id ID) (*VM, bool) {
 	v, ok := m.vms[id]
 	return v, ok
-}
-
-// UsedMem returns the reserved memory on a node.
-func (m *Manager) UsedMem(node cluster.NodeID) res.Memory { return m.usedMem[node] }
-
-// FreeMem returns the unreserved memory on a node (0 for unknown nodes).
-func (m *Manager) FreeMem(node cluster.NodeID) res.Memory {
-	n, ok := m.cl.Node(node)
-	if !ok {
-		return 0
-	}
-	return n.Mem() - m.usedMem[node]
 }
 
 // Residents returns the VMs resident on a node (any state that reserves
@@ -559,29 +535,4 @@ func (m *Manager) consumesCPU(v *VM, node cluster.NodeID) bool {
 	default:
 		return false
 	}
-}
-
-// TotalShare returns the sum of CPU shares of VMs executing on a node,
-// accumulated in sorted-resident order for bit-reproducibility.
-func (m *Manager) TotalShare(node cluster.NodeID) res.CPU {
-	var total res.CPU
-	for _, v := range m.Residents(node) {
-		if m.consumesCPU(v, node) {
-			total += v.share
-		}
-	}
-	return total
-}
-
-// RunningOn returns IDs of VMs executing on node (Running or
-// outbound-Migrating), sorted by ID.
-func (m *Manager) RunningOn(node cluster.NodeID) []ID {
-	var out []ID
-	for _, v := range m.byNode[node] {
-		if m.consumesCPU(v, node) {
-			out = append(out, v.id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

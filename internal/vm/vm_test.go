@@ -25,8 +25,8 @@ func TestProvisionLifecycle(t *testing.T) {
 	if !ok || v.State() != Provisioning {
 		t.Fatalf("VM missing or wrong state: %v", v.State())
 	}
-	if m.UsedMem("node-001") != 5000 {
-		t.Errorf("memory not reserved at provision: %v", m.UsedMem("node-001"))
+	if m.usedMem["node-001"] != 5000 {
+		t.Errorf("memory not reserved at provision: %v", m.usedMem["node-001"])
 	}
 	if v.Rate() != 0 {
 		t.Errorf("rate before boot = %v, want 0", v.Rate())
@@ -75,8 +75,8 @@ func TestMemoryExhaustion(t *testing.T) {
 	if err := m.Provision("d", "node-001", 5000, 4500, 4500); err == nil {
 		t.Error("fourth 5000MB VM fit into 16000MB node")
 	}
-	if m.FreeMem("node-001") != 1000 {
-		t.Errorf("FreeMem = %v, want 1000", m.FreeMem("node-001"))
+	if m.usedMem["node-001"] != 15000 {
+		t.Errorf("used memory = %v, want 15000", m.usedMem["node-001"])
 	}
 }
 
@@ -142,15 +142,15 @@ func TestSuspendReleasesMemoryAfterLatency(t *testing.T) {
 	if a.Rate() != 0 {
 		t.Errorf("rate during suspend = %v, want 0 (progress stops immediately)", a.Rate())
 	}
-	if m.UsedMem("node-001") != 5000 {
+	if m.usedMem["node-001"] != 5000 {
 		t.Errorf("memory released too early")
 	}
 	eng.RunUntil(200)
 	if a.State() != Suspended || a.Node() != "" {
 		t.Errorf("after suspend: state=%v node=%q", a.State(), a.Node())
 	}
-	if m.UsedMem("node-001") != 0 {
-		t.Errorf("memory not released after suspend: %v", m.UsedMem("node-001"))
+	if m.usedMem["node-001"] != 0 {
+		t.Errorf("memory not released after suspend: %v", m.usedMem["node-001"])
 	}
 }
 
@@ -163,7 +163,7 @@ func TestResumeOnDifferentNode(t *testing.T) {
 	if err := m.Resume("a", "node-002", 3000); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if m.UsedMem("node-002") != 5000 {
+	if m.usedMem["node-002"] != 5000 {
 		t.Errorf("memory not reserved at resume start")
 	}
 	eng.RunUntil(300)
@@ -201,10 +201,10 @@ func TestMigrationDualOccupancyAndCutOver(t *testing.T) {
 		t.Fatalf("Migrate: %v", err)
 	}
 	a, _ := m.VM("a")
-	if a.State() != Migrating || a.MigrationTarget() != "node-002" {
-		t.Fatalf("state=%v target=%v", a.State(), a.MigrationTarget())
+	if a.State() != Migrating || a.dst != "node-002" {
+		t.Fatalf("state=%v target=%v", a.State(), a.dst)
 	}
-	if m.UsedMem("node-001") != 5000 || m.UsedMem("node-002") != 5000 {
+	if m.usedMem["node-001"] != 5000 || m.usedMem["node-002"] != 5000 {
 		t.Error("dual occupancy not enforced during copy")
 	}
 	if a.Rate() != 4500 {
@@ -219,7 +219,7 @@ func TestMigrationDualOccupancyAndCutOver(t *testing.T) {
 	if a.State() != Running || a.Node() != "node-002" {
 		t.Errorf("after migration: state=%v node=%v", a.State(), a.Node())
 	}
-	if m.UsedMem("node-001") != 0 {
+	if m.usedMem["node-001"] != 0 {
 		t.Error("source memory not released after migration")
 	}
 }
@@ -248,7 +248,7 @@ func TestStopCancelsInFlightOps(t *testing.T) {
 	if err := m.Stop("a"); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	if m.UsedMem("node-001") != 0 || m.UsedMem("node-002") != 0 {
+	if m.usedMem["node-001"] != 0 || m.usedMem["node-002"] != 0 {
 		t.Error("Stop left memory reserved")
 	}
 	eng.RunUntil(1000)
@@ -284,7 +284,7 @@ func TestForceEvictSuspendsResidents(t *testing.T) {
 			t.Errorf("%v: state=%v node=%q", id, v.State(), v.Node())
 		}
 	}
-	if m.UsedMem("node-001") != 0 {
+	if m.usedMem["node-001"] != 0 {
 		t.Error("evicted node still has memory reserved")
 	}
 }
@@ -299,7 +299,7 @@ func TestForceEvictMigrationDestination(t *testing.T) {
 	if a.State() != Running || a.Node() != "node-001" {
 		t.Errorf("VM should survive at source: state=%v node=%v", a.State(), a.Node())
 	}
-	if m.UsedMem("node-002") != 0 {
+	if m.usedMem["node-002"] != 0 {
 		t.Error("dead destination keeps reservation")
 	}
 	eng.RunUntil(1000)
@@ -318,7 +318,7 @@ func TestForceEvictMigrationSource(t *testing.T) {
 	if a.State() != Suspended {
 		t.Errorf("VM should be suspended when source dies: %v", a.State())
 	}
-	if m.UsedMem("node-001") != 0 || m.UsedMem("node-002") != 0 {
+	if m.usedMem["node-001"] != 0 || m.usedMem["node-002"] != 0 {
 		t.Error("reservations leaked after source eviction")
 	}
 }
@@ -340,20 +340,6 @@ func TestCountersTally(t *testing.T) {
 	}
 }
 
-func TestRunningOnAndTotalShare(t *testing.T) {
-	eng, _, m := rig(t, DefaultCosts())
-	m.Provision("a", "node-001", 1000, 4500, 4000)
-	m.Provision("b", "node-001", 1000, 4500, 500)
-	eng.RunUntil(100)
-	if got := m.TotalShare("node-001"); !res.AlmostEqual(got, 4500) {
-		t.Errorf("TotalShare = %v, want 4500", got)
-	}
-	ids := m.RunningOn("node-001")
-	if len(ids) != 2 {
-		t.Errorf("RunningOn = %v", ids)
-	}
-}
-
 func TestOfflineNodeRejectsPlacement(t *testing.T) {
 	_, cl, m := rig(t, DefaultCosts())
 	cl.SetOnline("node-001", false)
@@ -370,13 +356,10 @@ func TestResidentsSortedDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.Run()
-	res := m.Residents("node-001")
-	if len(res) != 3 || res[0].ID() != "alpha" || res[1].ID() != "mid" || res[2].ID() != "zeta" {
-		t.Errorf("Residents not sorted: %v %v %v", res[0].ID(), res[1].ID(), res[2].ID())
+	for eng.Step() {
 	}
-	ids := m.RunningOn("node-001")
-	if ids[0] != "alpha" || ids[2] != "zeta" {
-		t.Errorf("RunningOn not sorted: %v", ids)
+	res := m.Residents("node-001")
+	if len(res) != 3 || res[0].id != "alpha" || res[1].id != "mid" || res[2].id != "zeta" {
+		t.Errorf("Residents not sorted: %v %v %v", res[0].id, res[1].id, res[2].id)
 	}
 }

@@ -15,7 +15,6 @@ package batch
 
 import (
 	"fmt"
-	"sort"
 
 	"slaplace/internal/cluster"
 	"slaplace/internal/res"
@@ -188,8 +187,7 @@ type Runtime struct {
 	// semantics) instead of the default checkpoint semantics.
 	LoseProgressOnEvict bool
 
-	onComplete func(*Job)
-	onSubmit   func(*Job)
+	onSubmit func(*Job)
 }
 
 // NewRuntime wires a job runtime to the engine and VM manager. It
@@ -205,9 +203,6 @@ func NewRuntime(eng *sim.Engine, mgr *vm.Manager) *Runtime {
 	mgr.AddEvictListener(rt.evicted)
 	return rt
 }
-
-// OnComplete installs a completion observer (nil disables).
-func (rt *Runtime) OnComplete(f func(*Job)) { rt.onComplete = f }
 
 // OnSubmit installs a submission observer (nil disables).
 func (rt *Runtime) OnSubmit(f func(*Job)) { rt.onSubmit = f }
@@ -493,27 +488,6 @@ func (rt *Runtime) complete(j *Job) {
 			}
 		}
 	}
-	if rt.onComplete != nil {
-		rt.onComplete(j)
-	}
-}
-
-// Curve builds the job's hypothetical-utility curve at the given time.
-// It panics for completed/canceled jobs.
-func (rt *Runtime) Curve(id JobID, now float64) *utility.JobCurve {
-	j, ok := rt.jobs[id]
-	if !ok {
-		panic(fmt.Sprintf("batch: Curve of unknown job %q", id))
-	}
-	if j.state == Completed || j.state == Canceled {
-		panic(fmt.Sprintf("batch: Curve of job %q in state %v", id, j.state))
-	}
-	remaining := j.RemainingAt(now)
-	if remaining <= 0 {
-		// Completion event is due this instant; treat as one unit left.
-		remaining = res.Work(completionEps)
-	}
-	return utility.NewJobCurve(string(id), now, remaining, j.class.MaxSpeed, j.goal, j.class.Fun())
 }
 
 // CompletionUtility scores a completed job against its goal.
@@ -563,20 +537,4 @@ func (rt *Runtime) Stats() Stats {
 		s.MeanCompletionUtility = utilSum / float64(s.Completed)
 	}
 	return s
-}
-
-// SortByGoal orders job IDs by goal ascending (earliest deadline
-// first), breaking ties by submission order. Used by EDF baselines.
-func (rt *Runtime) SortByGoal(ids []JobID) {
-	pos := make(map[JobID]int, len(rt.seq))
-	for i, id := range rt.seq {
-		pos[id] = i
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		ja, jb := rt.jobs[ids[a]], rt.jobs[ids[b]]
-		if ja.goal != jb.goal {
-			return ja.goal < jb.goal
-		}
-		return pos[ids[a]] < pos[ids[b]]
-	})
 }

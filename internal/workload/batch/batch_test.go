@@ -70,7 +70,8 @@ func TestSubmitDerivesGoal(t *testing.T) {
 			t.Errorf("job after submit: state=%v submitted=%v", j.State(), j.Submitted())
 		}
 	})
-	eng.Run()
+	for eng.Step() {
+	}
 }
 
 func TestSubmitGoalOverrideAndDuplicate(t *testing.T) {
@@ -90,8 +91,6 @@ func TestSubmitGoalOverrideAndDuplicate(t *testing.T) {
 func TestJobRunsToCompletionAtFullSpeed(t *testing.T) {
 	eng, _, rt := rig(t, instantCosts)
 	rt.Submit("j1", testClass(), 0)
-	var doneAt float64
-	rt.OnComplete(func(j *Job) { doneAt = j.CompletedAt() })
 	if err := rt.Start("j1", "node-001", 4500); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -101,8 +100,8 @@ func TestJobRunsToCompletionAtFullSpeed(t *testing.T) {
 		t.Fatalf("state = %v, want completed", j.State())
 	}
 	// With zero start latency, the 1000 s of work completes at t=1000.
-	if math.Abs(doneAt-1000) > 1e-6 {
-		t.Errorf("completed at %v, want 1000", doneAt)
+	if math.Abs(j.CompletedAt()-1000) > 1e-6 {
+		t.Errorf("completed at %v, want 1000", j.CompletedAt())
 	}
 	// The VM must have been stopped and its memory freed.
 	if rt.Node("j1") != "" {
@@ -228,7 +227,7 @@ func TestCancelReleasesResources(t *testing.T) {
 	if j.State() != Canceled {
 		t.Errorf("state = %v, want canceled", j.State())
 	}
-	if mgr.UsedMem("node-001") != 0 {
+	if len(mgr.Residents("node-001")) != 0 {
 		t.Error("canceled job left memory reserved")
 	}
 	if err := rt.Cancel("j1"); err == nil {
@@ -298,40 +297,6 @@ func TestLifecycleGuards(t *testing.T) {
 	eng.RunUntil(5000)
 }
 
-func TestCurveReflectsRemainingWork(t *testing.T) {
-	eng, _, rt := rig(t, instantCosts)
-	rt.Submit("j1", testClass(), 0)
-	rt.Start("j1", "node-001", 4500)
-	eng.At(500, "probe", func(sim.Time) {
-		c := rt.Curve("j1", 500)
-		// Half the work (500 s at full speed) remains; ctMin = 1000,
-		// goal 3000 => window 2000 and MaxUtility = 1 (any job that can
-		// still meet its goal peaks at 1).
-		if got := c.MaxUtility(); math.Abs(got-1) > 1e-9 {
-			t.Errorf("MaxUtility = %v, want 1", got)
-		}
-		// At quarter speed the remaining work takes 2000 s: ct = 2500,
-		// p = (3000-2500)/2000 = 0.25.
-		if got := c.UtilityAt(1125); math.Abs(got-0.25) > 1e-9 {
-			t.Errorf("UtilityAt(1125) = %v, want 0.25", got)
-		}
-	})
-	eng.RunUntil(600)
-}
-
-func TestCurvePanicsForCompleted(t *testing.T) {
-	eng, _, rt := rig(t, instantCosts)
-	rt.Submit("j1", testClass(), 0)
-	rt.Start("j1", "node-001", 4500)
-	eng.RunUntil(5000)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Curve of completed job did not panic")
-		}
-	}()
-	rt.Curve("j1", 5000)
-}
-
 func TestCompletionUtilityAndStats(t *testing.T) {
 	eng, _, rt := rig(t, instantCosts)
 	rt.Submit("j1", testClass(), 0)
@@ -373,21 +338,6 @@ func TestIncompleteAndOrdering(t *testing.T) {
 	}
 	if got := len(rt.CompletedJobs()); got != 1 {
 		t.Errorf("CompletedJobs = %d", got)
-	}
-}
-
-func TestSortByGoal(t *testing.T) {
-	_, _, rt := rig(t, instantCosts)
-	rt.Submit("a", testClass(), 900)
-	rt.Submit("b", testClass(), 100)
-	rt.Submit("c", testClass(), 500)
-	ids := []JobID{"a", "b", "c"}
-	rt.SortByGoal(ids)
-	want := []JobID{"b", "c", "a"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("SortByGoal = %v, want %v", ids, want)
-		}
 	}
 }
 
@@ -471,16 +421,15 @@ func TestGeneratorBurstAndStop(t *testing.T) {
 	eng, _, rt := rig(t, instantCosts)
 	src := rng.NewSource(1)
 	gen, _ := NewGenerator(rt, eng, src.Stream("x"), testClass(),
-		[]Phase{{Start: 0, MeanInterarrival: 100}}, 0, "job")
+		[]Phase{{Start: 0, MeanInterarrival: 100}}, 5, "job")
 	burst, err := gen.SubmitBurst(3)
 	if err != nil || len(burst) != 3 {
 		t.Fatalf("SubmitBurst: %v, %d jobs", err, len(burst))
 	}
 	gen.Start()
-	gen.Stop()
-	eng.RunUntil(10000)
-	if got := len(rt.Jobs()); got != 3 {
-		t.Errorf("jobs after Stop = %d, want only the burst 3", got)
+	eng.RunUntil(100000)
+	if got := len(rt.Jobs()); got != 5 {
+		t.Errorf("jobs = %d, want the burst 3 plus 2 up to MaxJobs 5", got)
 	}
 }
 

@@ -30,7 +30,6 @@ type Generator struct {
 	eng       *sim.Engine
 	stream    *rng.Stream
 	submitted int
-	stopped   bool
 }
 
 // NewGenerator validates and builds a generator.
@@ -77,15 +76,12 @@ func (g *Generator) Start() {
 	g.scheduleNext(float64(g.eng.Now()))
 }
 
-// Stop halts further submissions.
-func (g *Generator) Stop() { g.stopped = true }
-
 // Submitted returns how many jobs this generator has submitted.
 func (g *Generator) Submitted() int { return g.submitted }
 
 // scheduleNext samples the next arrival after time t and schedules it.
 func (g *Generator) scheduleNext(t float64) {
-	if g.stopped || (g.MaxJobs > 0 && g.submitted >= g.MaxJobs) {
+	if g.MaxJobs > 0 && g.submitted >= g.MaxJobs {
 		return
 	}
 	ph := g.phaseAt(t)
@@ -111,7 +107,7 @@ func (g *Generator) scheduleNext(t float64) {
 		}
 	}
 	g.eng.At(sim.Time(next), "job-arrival/"+g.IDPrefix, func(now sim.Time) {
-		if g.stopped || (g.MaxJobs > 0 && g.submitted >= g.MaxJobs) {
+		if g.MaxJobs > 0 && g.submitted >= g.MaxJobs {
 			return
 		}
 		g.submitted++

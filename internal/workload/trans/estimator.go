@@ -2,7 +2,6 @@ package trans
 
 import (
 	"fmt"
-	"math"
 
 	"slaplace/internal/rng"
 )
@@ -21,15 +20,7 @@ type LambdaEstimator struct {
 
 	estimate float64
 	primed   bool
-	observed int // windows observed
-
-	recent [seriesCap]float64 // ring of the newest window estimates
 }
-
-// seriesCap bounds the Series ring: enough history for any forecast
-// window a predictor would reasonably train on, small enough to live
-// inline in the estimator.
-const seriesCap = 32
 
 // NewLambdaEstimator builds an estimator; it panics on alpha outside
 // (0, 1] — a configuration error.
@@ -70,42 +61,5 @@ func (e *LambdaEstimator) Observe(pattern LoadPattern, t0, t1 float64, noise *rn
 	} else {
 		e.estimate = e.Alpha*rate + (1-e.Alpha)*e.estimate
 	}
-	e.recent[e.observed%seriesCap] = e.estimate
-	e.observed++
 	return e.estimate
-}
-
-// Estimate returns the current smoothed arrival rate (0 before any
-// observation) and whether at least one window has been observed.
-func (e *LambdaEstimator) Estimate() (float64, bool) {
-	return e.estimate, e.primed
-}
-
-// Windows returns how many windows have been observed.
-func (e *LambdaEstimator) Windows() int { return e.observed }
-
-// Series returns the post-EWMA estimates of the most recent monitoring
-// windows, oldest first — the demand history a forecaster trains on.
-// At most the last 32 windows are retained; before any observation the
-// slice is empty. The returned slice is a copy.
-func (e *LambdaEstimator) Series() []float64 {
-	n := e.observed
-	if n > seriesCap {
-		n = seriesCap
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		// Walk backward from the newest slot so wraparound reads the
-		// ring in chronological order.
-		out[n-1-i] = e.recent[(e.observed-1-i)%seriesCap]
-	}
-	return out
-}
-
-// relative error helper for tests.
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / want
 }

@@ -19,9 +19,6 @@ func TestEstimatorConvergesToConstantRate(t *testing.T) {
 	if relErr(last, 65) > 0.05 {
 		t.Errorf("estimate %v after 50 windows, want ≈65", last)
 	}
-	if est.Windows() != 50 {
-		t.Errorf("windows = %d", est.Windows())
-	}
 }
 
 func TestEstimatorTracksStepChange(t *testing.T) {
@@ -88,61 +85,8 @@ func TestEstimatorPanics(t *testing.T) {
 
 func TestEstimateBeforeObservation(t *testing.T) {
 	est := NewLambdaEstimator(0.5)
-	if v, ok := est.Estimate(); ok || v != 0 {
+	if v, ok := est.estimate, est.primed; ok || v != 0 {
 		t.Errorf("unprimed estimate = (%v, %v)", v, ok)
-	}
-}
-
-func TestSeriesUnprimedIsEmpty(t *testing.T) {
-	est := NewLambdaEstimator(0.5)
-	if s := est.Series(); len(s) != 0 {
-		t.Errorf("unprimed series = %v, want empty", s)
-	}
-}
-
-func TestSeriesPrimedPartialFill(t *testing.T) {
-	// Fewer windows than the ring holds: the series is exactly the
-	// post-EWMA estimate after each observation, oldest first.
-	est := NewLambdaEstimator(1.0) // no smoothing: estimate == window rate
-	rates := []float64{10, 20, 30}
-	for i, r := range rates {
-		t0 := float64(i) * 600
-		est.Observe(Constant{Rate: r}, t0, t0+600, nil)
-	}
-	got := est.Series()
-	if len(got) != len(rates) {
-		t.Fatalf("series length %d, want %d", len(got), len(rates))
-	}
-	for i, want := range rates {
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Errorf("series[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestSeriesWraparound(t *testing.T) {
-	// More windows than the ring holds: only the newest 32 survive, in
-	// chronological order across the wrap point.
-	est := NewLambdaEstimator(1.0)
-	const windows = 80 // 2.5 rings
-	for i := 0; i < windows; i++ {
-		t0 := float64(i) * 600
-		est.Observe(Constant{Rate: float64(i + 1)}, t0, t0+600, nil)
-	}
-	got := est.Series()
-	if len(got) != seriesCap {
-		t.Fatalf("series length %d, want %d", len(got), seriesCap)
-	}
-	for i := range got {
-		want := float64(windows - seriesCap + i + 1)
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Fatalf("series[%d] = %v, want %v (wraparound misordered)", i, got[i], want)
-		}
-	}
-	// The returned slice is a copy: mutating it must not touch the ring.
-	got[0] = -1
-	if again := est.Series(); again[0] == -1 {
-		t.Error("Series returned the internal ring, not a copy")
 	}
 }
 
@@ -177,4 +121,12 @@ func TestMonitoredLambdaThroughApp(t *testing.T) {
 	if got := app2.MonitoredLambda(0, 600); got != 17 {
 		t.Errorf("oracle app monitored lambda %v, want 17", got)
 	}
+}
+
+// relErr is |got-want|/want, or |got| when want is 0.
+func relErr(got, want float64) float64 {
+	if want == 0 {
+		return math.Abs(got)
+	}
+	return math.Abs(got-want) / want
 }

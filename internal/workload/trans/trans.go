@@ -251,15 +251,6 @@ func (a *App) InstanceNodes() []cluster.NodeID {
 	return out
 }
 
-// InstanceCount returns the number of placed instances.
-func (a *App) InstanceCount() int { return len(a.instances) }
-
-// HasInstance reports whether the app has an instance on the node.
-func (a *App) HasInstance(node cluster.NodeID) bool {
-	_, ok := a.instances[node]
-	return ok
-}
-
 // InstanceShare returns the share of the instance on a node (0 if none).
 func (a *App) InstanceShare(node cluster.NodeID) res.CPU {
 	vid, ok := a.instances[node]
@@ -284,24 +275,6 @@ func (a *App) rates() []res.CPU {
 		out = append(out, v.Rate())
 	}
 	return out
-}
-
-// TotalRate returns the summed effective CPU rate across instances.
-func (a *App) TotalRate() res.CPU {
-	var sum res.CPU
-	for _, r := range a.rates() {
-		sum += r
-	}
-	return sum
-}
-
-// TotalShare returns the summed assigned share across instances.
-func (a *App) TotalShare() res.CPU {
-	var sum res.CPU
-	for _, node := range a.InstanceNodes() {
-		sum += a.InstanceShare(node)
-	}
-	return sum
 }
 
 // Lambda returns the true arrival rate at time t.
@@ -350,9 +323,4 @@ func (a *App) MeasuredUtility(observedRT float64) float64 {
 		return a.cfg.Fun().Eval(math.Inf(-1))
 	}
 	return a.cfg.Fun().Eval((a.cfg.RTGoal - observedRT) / a.cfg.RTGoal)
-}
-
-// Curve builds the app's utility curve at time t for the optimizer.
-func (a *App) Curve(t float64) *utility.TransCurve {
-	return utility.NewTransCurve(string(a.cfg.ID), a.Lambda(t), a.cfg.RTGoal, a.cfg.Model, a.cfg.Fun())
 }

@@ -83,13 +83,17 @@ func TestDeployAndInstanceLifecycle(t *testing.T) {
 		t.Fatalf("second AddInstance: %v", err)
 	}
 	eng.RunUntil(100)
-	if got := app.InstanceCount(); got != 2 {
-		t.Errorf("InstanceCount = %d", got)
+	if got := len(app.InstanceNodes()); got != 2 {
+		t.Errorf("%d instances, want 2", got)
 	}
-	if got := app.TotalRate(); !res.AlmostEqual(got, 18000) {
-		t.Errorf("TotalRate = %v, want 18000", got)
+	var rate res.CPU
+	for _, r := range app.rates() {
+		rate += r
 	}
-	if mgr.UsedMem("node-001") != 1000 {
+	if !res.AlmostEqual(rate, 18000) {
+		t.Errorf("total rate = %v, want 18000", rate)
+	}
+	if len(mgr.Residents("node-001")) != 1 {
 		t.Errorf("instance memory not reserved")
 	}
 	// Removing below MinInstances is refused.
@@ -99,7 +103,7 @@ func TestDeployAndInstanceLifecycle(t *testing.T) {
 	if err := app.RemoveInstance("node-002"); err == nil {
 		t.Error("removal below MinInstances accepted")
 	}
-	if mgr.UsedMem("node-001") != 0 {
+	if len(mgr.Residents("node-001")) != 0 {
 		t.Errorf("removed instance left memory")
 	}
 }
@@ -218,22 +222,6 @@ func TestMeasuredUtility(t *testing.T) {
 	}
 }
 
-func TestCurveUsesCurrentLambda(t *testing.T) {
-	_, _, rt := rig(t)
-	cfg := testConfig(t)
-	step, _ := NewStep([]float64{0, 1000}, []float64{50, 200})
-	cfg.Pattern = step
-	app, _ := rt.Deploy(cfg)
-	before := app.Curve(500)
-	after := app.Curve(1500)
-	if before.Lambda() != 50 || after.Lambda() != 200 {
-		t.Errorf("curve lambdas = %v, %v", before.Lambda(), after.Lambda())
-	}
-	if after.MaxUseful() <= before.MaxUseful() {
-		t.Error("higher load should need more CPU for max utility")
-	}
-}
-
 func TestEvictionDropsInstance(t *testing.T) {
 	eng, mgr, rt := rig(t)
 	app, _ := rt.Deploy(testConfig(t))
@@ -241,13 +229,10 @@ func TestEvictionDropsInstance(t *testing.T) {
 	app.AddInstance("node-002", 9000)
 	eng.RunUntil(100)
 	mgr.ForceEvict("node-001")
-	if app.HasInstance("node-001") {
-		t.Error("evicted instance still tracked")
+	if nodes := app.InstanceNodes(); len(nodes) != 1 || nodes[0] != "node-002" {
+		t.Errorf("instances on %v after evicting node-001, want node-002 only", nodes)
 	}
-	if !app.HasInstance("node-002") {
-		t.Error("surviving instance lost")
-	}
-	if mgr.UsedMem("node-001") != 0 {
+	if len(mgr.Residents("node-001")) != 0 {
 		t.Error("failed node retains memory")
 	}
 	// The app can later return to the recovered node.
@@ -269,14 +254,14 @@ func TestSharesAndNodes(t *testing.T) {
 	if got := app.InstanceShare("node-002"); got != 5000 {
 		t.Errorf("InstanceShare = %v", got)
 	}
-	if got := app.TotalShare(); got != 9000 {
-		t.Errorf("TotalShare = %v", got)
+	if got := app.InstanceShare("node-001"); got != 4000 {
+		t.Errorf("InstanceShare = %v", got)
 	}
 	if err := app.SetInstanceShare("node-001", 6000); err != nil {
 		t.Fatal(err)
 	}
-	if got := app.TotalShare(); got != 11000 {
-		t.Errorf("TotalShare after reshare = %v", got)
+	if got := app.InstanceShare("node-001"); got != 6000 {
+		t.Errorf("InstanceShare after reshare = %v", got)
 	}
 	if err := app.SetInstanceShare("node-004", 1); err == nil {
 		t.Error("reshare of absent instance accepted")

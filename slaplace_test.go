@@ -4,6 +4,7 @@
 package slaplace_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,9 +83,8 @@ func TestFacadeCustomScenario(t *testing.T) {
 	if r.JobStats.Completed == 0 {
 		t.Error("custom scenario completed no jobs")
 	}
-	last, ok := r.Recorder.Series("trans/shop/utility").Last()
-	if !ok || last.V < 0.5 {
-		t.Errorf("lightly loaded web app utility %v, want healthy", last.V)
+	if last := r.Recorder.Series("trans/shop/utility").Summarize().Last; last < 0.5 {
+		t.Errorf("lightly loaded web app utility %v, want healthy", last)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestFacadeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{control.SeriesPlanMode, control.SeriesDemandDelta} {
-		if !r.Recorder.Has(name) {
+		if !slices.Contains(r.Recorder.SeriesNames(), name) {
 			t.Errorf("series %q not recorded", name)
 		}
 	}
