@@ -269,7 +269,8 @@ const (
 type SnapshotDelta struct {
 	BaseCycle int     `json:"baseCycle"`
 	Now       float64 `json:"now"`
-	// Nodes, when non-nil, replaces the node list wholesale.
+	// Nodes, when non-nil, replaces the node list wholesale; like a
+	// snapshot's, the new list may not be empty.
 	Nodes []Node `json:"nodes,omitempty"`
 	// UpsertJobs replaces jobs in place by ID (preserving snapshot
 	// order) and appends new ones; RemoveJobs deletes by ID
@@ -445,20 +446,15 @@ func (s *Snapshot) Validate() error {
 		forget()
 		idSets.Put(seen)
 	}()
-	for i, n := range s.Nodes {
-		if n.ID == "" {
-			return fmt.Errorf("api: node %d has empty id", i)
-		}
-		if _, dup := seen[n.ID]; dup {
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		if _, dup := seen[n.ID]; dup && n.ID != "" {
 			return fmt.Errorf("api: duplicate node %q", n.ID)
 		}
 		seen[n.ID] = struct{}{}
 		nodes = i + 1
-		if !finite(n.CPUMHz) || n.CPUMHz <= 0 {
-			return fmt.Errorf("api: node %q cpuMHz %v", n.ID, n.CPUMHz)
-		}
-		if n.MemMB <= 0 {
-			return fmt.Errorf("api: node %q memMB %d", n.ID, n.MemMB)
+		if err := n.validate(i); err != nil {
+			return err
 		}
 	}
 	forget()
@@ -493,6 +489,22 @@ func (s *Snapshot) Validate() error {
 // pool does not have is made at the snapshot's size, as growing it
 // entry by entry would rehash it several times.
 var idSets sync.Pool
+
+// validate checks one node's own fields — everything Validate checks
+// of a node except that its ID is unique. i is its position, for the
+// error that cannot name it.
+func (n *Node) validate(i int) error {
+	if n.ID == "" {
+		return fmt.Errorf("api: node %d has empty id", i)
+	}
+	if !finite(n.CPUMHz) || n.CPUMHz <= 0 {
+		return fmt.Errorf("api: node %q cpuMHz %v", n.ID, n.CPUMHz)
+	}
+	if n.MemMB <= 0 {
+		return fmt.Errorf("api: node %q memMB %d", n.ID, n.MemMB)
+	}
+	return nil
+}
 
 // validate checks one job's own fields — everything Validate checks of
 // a job except that its ID is unique. i is its position, for the error

@@ -540,4 +540,9 @@ func TestSnapshotDeltaApply(t *testing.T) {
 	if _, err := dupNodes.ApplyTo(st); err == nil {
 		t.Error("duplicate delta nodes accepted")
 	}
+	// So is an empty node list: a full snapshot must have nodes.
+	noNodes := &SnapshotDelta{Now: 2100, Nodes: []Node{}}
+	if _, err := noNodes.ApplyTo(st); err == nil {
+		t.Error("delta with an empty node list accepted")
+	}
 }

@@ -898,9 +898,10 @@ func binForecastState(c *binCodec, s *ForecastState) {
 func binDelta(c *binCodec, d *SnapshotDelta) {
 	c.intv("baseCycle", &d.BaseCycle)
 	c.f64("now", &d.Now)
-	// Nodes present but empty empties the node list; absent keeps it. In
-	// JSON the member says which ("nodes":[] against none), though the
-	// writer, like json.Marshal's omitempty, writes neither.
+	// Nodes present but empty is an empty node list (which ApplyTo
+	// rejects); absent keeps the base's. In JSON the member says which
+	// ("nodes":[] against none), though the writer, like json.Marshal's
+	// omitempty, writes neither.
 	if c.present(d.Nodes != nil) {
 		if d.Nodes == nil && c.r != nil {
 			d.Nodes = []Node{}

@@ -507,16 +507,22 @@ func (d *SnapshotDelta) ApplyTo(base *core.State) (*core.State, error) {
 	}
 	st := &core.State{Now: d.Now}
 	if d.Nodes != nil {
+		// A delta may replace the node list, but only with one that a
+		// full snapshot could carry.
+		if len(d.Nodes) == 0 {
+			return nil, fmt.Errorf("api: delta has no nodes")
+		}
 		st.Nodes = make([]core.NodeInfo, len(d.Nodes))
 		seen := make(map[string]bool, len(d.Nodes))
-		for i, n := range d.Nodes {
-			if n.ID == "" || n.CPUMHz <= 0 || n.MemMB <= 0 || !finite(n.CPUMHz) {
-				return nil, fmt.Errorf("api: delta node %d invalid: %+v", i, n)
-			}
-			if seen[n.ID] {
+		for i := range d.Nodes {
+			n := &d.Nodes[i]
+			if seen[n.ID] && n.ID != "" {
 				return nil, fmt.Errorf("api: delta duplicate node %q", n.ID)
 			}
 			seen[n.ID] = true
+			if err := n.validate(i); err != nil {
+				return nil, err
+			}
 			st.Nodes[i] = core.NodeInfo{ID: cluster.NodeID(n.ID), CPU: res.CPU(n.CPUMHz), Mem: res.Memory(n.MemMB)}
 		}
 	} else {

@@ -6,8 +6,9 @@
 // controller's incremental re-planning state warm across requests.
 //
 // With -state-dir the daemon is durable: every session checkpoints its
-// minimal restart state there (atomically, per -checkpoint-every), and
-// sessions come back — plan sequences byte-identical — after kill -9.
+// minimal restart state there (atomically) after every plan it
+// answers, and sessions come back — plan sequences byte-identical —
+// after kill -9.
 // Checkpoints also travel: GET /v1/sessions/{cluster}/checkpoint
 // exports one, PUT restores it into another daemon.
 //
@@ -86,7 +87,6 @@ func main() {
 		maxSessions = flag.Int("max-sessions", 0, "maximum concurrent cluster sessions (0 = unlimited)")
 		maxBody     = flag.Int64("max-body-bytes", serve.DefaultMaxBodyBytes, "maximum request body size in bytes")
 		stateDir    = flag.String("state-dir", "", "directory for durable session checkpoints (empty = not durable)")
-		ckEvery     = flag.Int("checkpoint-every", 1, "cycles between checkpoint writes per session (with -state-dir)")
 
 		replicaID = flag.String("replica-id", "", "this replica's advertised base URL in a fleet (e.g. http://10.0.0.1:8080; empty = single-daemon mode)")
 		peers     = flag.String("peers", "", "comma-separated base URLs of the other replicas (drain hand-off targets)")
@@ -127,7 +127,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		MaxBodyBytes:    *maxBody,
 		StateDir:        *stateDir,
-		CheckpointEvery: *ckEvery,
 		ReplicaID:       *replicaID,
 		Peers:           peerList,
 		StaleClaimAfter: *claimTTL,

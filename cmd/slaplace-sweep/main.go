@@ -24,9 +24,31 @@ func main() {
 	)
 	flag.Parse()
 
-	run := func(name string, f func() ([]experiments.SweepPoint, error)) {
-		fmt.Printf("== %s sweep (seed %d) ==\n", name, *seed)
-		points, err := f()
+	sweeps := map[string]struct {
+		title string
+		spec  func() (experiments.SweepSpec, error)
+	}{
+		"cycle": {"control-cycle", func() (experiments.SweepSpec, error) {
+			return experiments.CycleSweepSpec(*seed, nil), nil
+		}},
+		"utility": {"utility-function", func() (experiments.SweepSpec, error) {
+			return experiments.UtilityFnSweepSpec(*seed), nil
+		}},
+		"load": {"transactional-load", func() (experiments.SweepSpec, error) {
+			return experiments.LoadSweepSpec(*seed, nil)
+		}},
+		"margin": {"eviction-margin", func() (experiments.SweepSpec, error) {
+			return experiments.EvictionMarginSweepSpec(*seed, nil)
+		}},
+	}
+	run := func(name string) {
+		sw := sweeps[name]
+		fmt.Printf("== %s sweep (seed %d) ==\n", sw.title, *seed)
+		spec, err := sw.spec()
+		var points []experiments.SweepPoint
+		if err == nil {
+			points, err = spec.Run(*parallel)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "slaplace-sweep:", err)
 			os.Exit(1)
@@ -34,40 +56,17 @@ func main() {
 		fmt.Print(experiments.FormatSweep(points))
 		fmt.Println()
 	}
-	sweeps := map[string]func(){
-		"cycle": func() {
-			run("control-cycle", func() ([]experiments.SweepPoint, error) {
-				return experiments.CycleSweep(*seed, nil, *parallel)
-			})
-		},
-		"utility": func() {
-			run("utility-function", func() ([]experiments.SweepPoint, error) {
-				return experiments.UtilityFnSweep(*seed, *parallel)
-			})
-		},
-		"load": func() {
-			run("transactional-load", func() ([]experiments.SweepPoint, error) {
-				return experiments.LoadSweep(*seed, nil, *parallel)
-			})
-		},
-		"margin": func() {
-			run("eviction-margin", func() ([]experiments.SweepPoint, error) {
-				return experiments.EvictionMarginSweep(*seed, nil, *parallel)
-			})
-		},
-	}
 
 	switch *which {
 	case "all":
 		for _, name := range []string{"cycle", "utility", "load", "margin"} {
-			sweeps[name]()
+			run(name)
 		}
 	default:
-		f, ok := sweeps[*which]
-		if !ok {
+		if _, ok := sweeps[*which]; !ok {
 			fmt.Fprintf(os.Stderr, "slaplace-sweep: unknown sweep %q\n", *which)
 			os.Exit(2)
 		}
-		f()
+		run(*which)
 	}
 }

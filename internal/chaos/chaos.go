@@ -233,9 +233,6 @@ func New(cfg Config) (*Engine, error) {
 // Stats returns the injection counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Cycle returns how many snapshots have been stepped.
-func (e *Engine) Cycle() int { return e.cycle }
-
 // Step perturbs one cycle's snapshot. st is the true monitoring state;
 // the returned state is what the controller should be shown. st is not
 // mutated, and the returned state is read-only like every State: a

@@ -362,7 +362,9 @@ func (s *Session) Propose(snap *api.Snapshot) (*api.Plan, core.PlanStats, error)
 	if err != nil {
 		return nil, core.PlanStats{}, err
 	}
-	return s.proposeState(st)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.proposeLocked(st)
 }
 
 // ProposeDelta plans against the session's retained snapshot patched
@@ -382,14 +384,6 @@ func (s *Session) ProposeDelta(d *api.SnapshotDelta) (*api.Plan, core.PlanStats,
 	if err != nil {
 		return nil, core.PlanStats{}, err
 	}
-	return s.proposeLocked(st)
-}
-
-// proposeState is the wire planning path for a full, already-converted
-// state.
-func (s *Session) proposeState(st *core.State) (*api.Plan, core.PlanStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.proposeLocked(st)
 }
 

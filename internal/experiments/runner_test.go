@@ -121,13 +121,13 @@ func TestCycleSweepParallelIdentical(t *testing.T) {
 		t.Skip("multiple full runs")
 	}
 	t0 := time.Now()
-	seq, err := CycleSweep(42, nil, 1)
+	seq, err := CycleSweepSpec(42, nil).Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqD := time.Since(t0)
 	t0 = time.Now()
-	par, err := CycleSweep(42, nil, 4)
+	par, err := CycleSweepSpec(42, nil).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}

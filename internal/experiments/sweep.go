@@ -93,11 +93,6 @@ func CycleSweepSpec(seed uint64, periods []float64) SweepSpec {
 	return spec
 }
 
-// CycleSweep runs CycleSweepSpec on a parallel worker pool.
-func CycleSweep(seed uint64, periods []float64, parallel int) ([]SweepPoint, error) {
-	return CycleSweepSpec(seed, periods).Run(parallel)
-}
-
 // UtilityFnSweepSpec declares the utility-function comparison (the
 // paper uses monotonic continuous functions and cites alternatives):
 // linear against increasingly steep sigmoids, applied to both workload
@@ -132,11 +127,6 @@ func UtilityFnSweepSpec(seed uint64) SweepSpec {
 	return spec
 }
 
-// UtilityFnSweep runs UtilityFnSweepSpec on a parallel worker pool.
-func UtilityFnSweep(seed uint64, parallel int) ([]SweepPoint, error) {
-	return UtilityFnSweepSpec(seed).Run(parallel)
-}
-
 // LoadSweepSpec declares the transactional-load sweep: the arrival
 // rate scales across a range of multipliers while the job stream holds
 // fixed — how does the equalizer shift capacity as the web tier's
@@ -163,15 +153,6 @@ func LoadSweepSpec(seed uint64, multipliers []float64) (SweepSpec, error) {
 	return spec, nil
 }
 
-// LoadSweep runs LoadSweepSpec on a parallel worker pool.
-func LoadSweep(seed uint64, multipliers []float64, parallel int) ([]SweepPoint, error) {
-	spec, err := LoadSweepSpec(seed, multipliers)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Run(parallel)
-}
-
 // EvictionMarginSweepSpec declares the suspension-hysteresis sweep:
 // the margin trades equalization granularity (time-sharing memory
 // slots among equally-urgent jobs) against suspend/resume churn.
@@ -195,16 +176,6 @@ func EvictionMarginSweepSpec(seed uint64, margins []float64) (SweepSpec, error) 
 		})
 	}
 	return spec, nil
-}
-
-// EvictionMarginSweep runs EvictionMarginSweepSpec on a parallel
-// worker pool.
-func EvictionMarginSweep(seed uint64, margins []float64, parallel int) ([]SweepPoint, error) {
-	spec, err := EvictionMarginSweepSpec(seed, margins)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Run(parallel)
 }
 
 // FormatSweep renders sweep points as an aligned text table.

@@ -23,7 +23,7 @@ func TestCycleSweepTradesChurnForFreshness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full runs")
 	}
-	points, err := CycleSweep(42, []float64{300, 1200}, 2)
+	points, err := CycleSweepSpec(42, []float64{300, 1200}).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,11 @@ func TestLoadSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full runs")
 	}
-	points, err := LoadSweep(42, []float64{0.5, 1.25}, 2)
+	spec, err := LoadSweepSpec(42, []float64{0.5, 1.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := spec.Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestLoadSweepMonotone(t *testing.T) {
 		t.Errorf("heavier web load should lower max-min utility: %v vs %v",
 			light.MaxMinUtility, heavy.MaxMinUtility)
 	}
-	if _, err := LoadSweep(42, []float64{0}, 1); err == nil {
+	if _, err := LoadSweepSpec(42, []float64{0}); err == nil {
 		t.Error("zero multiplier accepted")
 	}
 }
@@ -61,7 +65,7 @@ func TestUtilityFnSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full runs")
 	}
-	points, err := UtilityFnSweep(42, 2)
+	points, err := UtilityFnSweepSpec(42).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,11 @@ func TestEvictionMarginSweepReducesChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full runs")
 	}
-	points, err := EvictionMarginSweep(42, []float64{0, 1800}, 2)
+	spec, err := EvictionMarginSweepSpec(42, []float64{0, 1800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := spec.Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +109,7 @@ func TestEvictionMarginSweepReducesChurn(t *testing.T) {
 		t.Errorf("margin cost too much utility: %v vs %v",
 			damped.MaxMinUtility, pure.MaxMinUtility)
 	}
-	if _, err := EvictionMarginSweep(42, []float64{-1}, 1); err == nil {
+	if _, err := EvictionMarginSweepSpec(42, []float64{-1}); err == nil {
 		t.Error("negative margin accepted")
 	}
 }

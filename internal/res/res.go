@@ -24,14 +24,8 @@ type CPU float64
 // constraint checked with exact arithmetic.
 type Memory int64
 
-// Common scale constants.
-const (
-	MHz CPU = 1
-	GHz CPU = 1000
-
-	MB Memory = 1
-	GB Memory = 1024
-)
+// GB is a gigabyte of memory.
+const GB Memory = 1024
 
 // String renders a CPU amount with a readable unit.
 func (c CPU) String() string { return string(c.Append(nil)) }

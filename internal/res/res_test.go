@@ -12,9 +12,9 @@ func TestCPUString(t *testing.T) {
 		in   CPU
 		want string
 	}{
-		{500 * MHz, "500MHz"},
-		{1 * GHz, "1.00GHz"},
-		{4500 * MHz, "4.50GHz"},
+		{500, "500MHz"},
+		{1000, "1.00GHz"},
+		{4500, "4.50GHz"},
 		{0, "0MHz"},
 	}
 	for _, c := range cases {
@@ -29,10 +29,10 @@ func TestMemoryString(t *testing.T) {
 		in   Memory
 		want string
 	}{
-		{512 * MB, "512MB"},
+		{512, "512MB"},
 		{1 * GB, "1GB"},
 		{16 * GB, "16GB"},
-		{1536 * MB, "1.5GB"},
+		{1536, "1.5GB"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

@@ -91,11 +91,7 @@ func (s *Server) checkpointLocked(cs *clusterSession, clusterID string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeCheckpointFile(ck); err != nil {
-		return err
-	}
-	cs.ckCycle = ck.Cycle
-	return nil
+	return s.writeCheckpointFile(ck)
 }
 
 // handleCheckpointGet exports a session as an api.Checkpoint, JSON by

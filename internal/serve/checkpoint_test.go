@@ -407,7 +407,8 @@ func TestServeShardedCheckpointRestart(t *testing.T) {
 
 // TestServeStateDirRobustness: a corrupt or foreign state file must
 // cost the checkpoint, never the daemon — the session comes up fresh
-// and a note is logged. CheckpointEvery throttles the write cadence.
+// and a note is logged, and the first plan replaces the corrupt file
+// with a checkpoint of the fresh session, rolled forward every plan.
 func TestServeStateDirRobustness(t *testing.T) {
 	snaps := captureSnapshots(t, func() core.Controller { return core.New(core.DefaultConfig()) })
 	stateDir := t.TempDir()
@@ -420,8 +421,7 @@ func TestServeStateDirRobustness(t *testing.T) {
 	var logged []string
 	var logMu sync.Mutex
 	srv := New(Options{
-		StateDir:        stateDir,
-		CheckpointEvery: 2,
+		StateDir: stateDir,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logged = append(logged, fmt.Sprintf(format, args...))
@@ -441,20 +441,20 @@ func TestServeStateDirRobustness(t *testing.T) {
 		t.Errorf("corrupt state file not logged: %q", logged)
 	}
 
-	// CheckpointEvery=2: after cycle 1 there is no state file yet;
-	// after cycle 2 there is one at cycle 2.
+	// Every answered plan is on disk: the corrupt file now decodes at
+	// cycle 1, and at cycle 2 after the next plan.
 	path := filepath.Join(stateDir, "bad.ckpt")
-	ck, err := api.DecodeCheckpointBinary(mustOpen(t, path))
-	if err == nil && ck.Cycle >= 1 {
-		t.Errorf("checkpoint written after cycle 1 despite CheckpointEvery=2 (cycle %d)", ck.Cycle)
-	}
-	postPlan(t, ts.URL, &api.PlanRequest{ClusterID: "bad", Snapshot: snaps[1%len(snaps)]})
-	ck, err = api.DecodeCheckpointBinary(mustOpen(t, path))
-	if err != nil {
-		t.Fatalf("state file after cycle 2: %v", err)
-	}
-	if ck.Cycle != 2 {
-		t.Errorf("state file at cycle %d, want 2", ck.Cycle)
+	for cycle := 1; cycle <= 2; cycle++ {
+		if cycle > 1 {
+			postPlan(t, ts.URL, &api.PlanRequest{ClusterID: "bad", Snapshot: snaps[1%len(snaps)]})
+		}
+		ck, err := api.DecodeCheckpointBinary(mustOpen(t, path))
+		if err != nil {
+			t.Fatalf("state file after cycle %d: %v", cycle, err)
+		}
+		if ck.Cycle != cycle {
+			t.Errorf("state file at cycle %d, want %d", ck.Cycle, cycle)
+		}
 	}
 
 	// Cluster IDs with path separators stay inside the state dir.
@@ -471,6 +471,46 @@ func TestServeStateDirRobustness(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(stateDir, url.PathEscape("a/../b")+".ckpt")); err != nil {
 		t.Errorf("escaped checkpoint file missing: %v", err)
+	}
+}
+
+// TestServeRejectsNodelessDelta: a delta may not empty the node list,
+// which no full snapshot may do either. On a durable daemon the refused
+// delta leaves the session at its cycle and its state file decodable.
+func TestServeRejectsNodelessDelta(t *testing.T) {
+	snaps := captureSnapshots(t, func() core.Controller { return core.New(core.DefaultConfig()) })
+	stateDir := t.TempDir()
+	ts := httptest.NewServer(New(Options{StateDir: stateDir}).Handler())
+	defer ts.Close()
+	postPlan(t, ts.URL, &api.PlanRequest{ClusterID: "c", Snapshot: snaps[0]})
+
+	// The JSON writer drops an empty node list; the binary codec keeps
+	// it, as a client's "nodes": [] would.
+	var buf bytes.Buffer
+	empty := &api.SnapshotDelta{BaseCycle: 1, Now: snaps[0].Now, Nodes: []api.Node{}}
+	if err := api.EncodePlanRequestBinary(&buf, &api.PlanRequest{ClusterID: "c", Delta: empty}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/plan", api.ContentTypeBinary, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("delta with an empty node list: status %d, want 400", resp.StatusCode)
+	}
+
+	ck, err := api.DecodeCheckpointBinary(mustOpen(t, filepath.Join(stateDir, "c.ckpt")))
+	if err != nil {
+		t.Fatalf("state file after the refused delta: %v", err)
+	}
+	if ck.Cycle != 1 {
+		t.Errorf("state file at cycle %d, want 1", ck.Cycle)
+	}
+	next, _ := postPlan(t, ts.URL, &api.PlanRequest{ClusterID: "c",
+		Delta: &api.SnapshotDelta{BaseCycle: 1, Now: snaps[0].Now}})
+	if next.Cycle != 2 {
+		t.Errorf("cycle %d after the next delta, want 2", next.Cycle)
 	}
 }
 

@@ -190,9 +190,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("drain: no peer accepted cluster %q", id)
 		}
-		if ctx.Err() != nil && firstErr == nil {
-			firstErr = ctx.Err()
-		}
 	}
 	return firstErr
 }

@@ -39,10 +39,10 @@
 // (internal/shard) — the scale mode for 10k+-node snapshots.
 //
 // With Options.StateDir set the daemon is durable: each session's
-// checkpoint is written there (atomically, every CheckpointEvery
-// cycles) and sessions are restored from it on first use after a
-// restart — kill -9 loses nothing but the cycles since the last
-// checkpoint write.
+// checkpoint is written there (atomically) after every plan it
+// answers, and sessions are restored from it on first use after a
+// restart — a plan reply acknowledges that its cycle is on disk, so
+// kill -9 loses no answered cycle.
 package serve
 
 import (
@@ -81,9 +81,6 @@ type Options struct {
 	// StateDir, when set, makes sessions durable: checkpoints are
 	// written there and restored from there on first use. Must exist.
 	StateDir string
-	// CheckpointEvery is the cycle interval between automatic
-	// checkpoint writes when StateDir is set; 0 means every cycle.
-	CheckpointEvery int
 	// ReplicaID identifies this daemon in a replica fleet — by
 	// convention its advertised base URL ("http://host:port"), so the
 	// ID in a claim file doubles as the 421 routing hint. With StateDir
@@ -139,8 +136,6 @@ type clusterSession struct {
 	mu   sync.Mutex
 	sess *control.Session
 	prev *api.Plan
-	// ckCycle is the session cycle of the last checkpoint write.
-	ckCycle int
 }
 
 // New builds a server.
@@ -150,9 +145,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if opts.CheckpointEvery < 1 {
-		opts.CheckpointEvery = 1
 	}
 	if opts.StaleClaimAfter <= 0 {
 		opts.StaleClaimAfter = 10 * time.Second
@@ -292,7 +284,7 @@ func (s *Server) restoreInto(cs *clusterSession, ck *api.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	cs.sess, cs.prev, cs.ckCycle = sess, ck.Plan, ck.Cycle
+	cs.sess, cs.prev = sess, ck.Plan
 	return nil
 }
 
@@ -431,10 +423,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.prev = plan
 
-	// Durability: roll the cluster's state file forward on schedule. A
-	// write failure costs durability, not availability — the plan
-	// response still goes out.
-	if s.opts.StateDir != "" && cs.sess.Cycles()-cs.ckCycle >= s.opts.CheckpointEvery {
+	// Durability: roll the cluster's state file forward before the
+	// reply goes out. A write failure costs durability, not
+	// availability — the plan response still goes out.
+	if s.opts.StateDir != "" {
 		if err := s.checkpointLocked(cs, clusterID); err != nil {
 			s.logf("serve: checkpoint write for %q failed: %v", clusterID, err)
 		}

@@ -2,9 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"slaplace/api"
 	"slaplace/internal/core"
@@ -145,48 +143,14 @@ func (c *Controller) Plan(st *core.State) *core.Plan {
 	p := c.scratch.split(st, c.cfg.Shards)
 	k := len(p.states)
 
+	// Shards plan concurrently, each into its own slot.
 	plans := make([]*core.Plan, k)
-	c.planShards(p, plans)
+	runChunks(k, func(i int) { plans[i] = c.inner[i].Plan(p.states[i]) })
 
 	c.lastK = k
 	c.lastSpread = p.spread
 	c.lastResharded = p.resharded
 	return mergePlans(p, plans)
-}
-
-// planShards plans every shard of the partition, concurrently on a
-// worker pool sized min(K, GOMAXPROCS) — one worker degenerates to a
-// plain in-order loop, so a single-proc host pays no scheduling
-// overhead for the decomposition. plans[i] is indexed, never appended,
-// so the worker count cannot change the result.
-func (c *Controller) planShards(p *partition, plans []*core.Plan) {
-	k := len(p.states)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			plans[i] = c.inner[i].Plan(p.states[i])
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= k {
-					return
-				}
-				plans[i] = c.inner[i].Plan(p.states[i])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ExportBounds returns the partitioner's persistent state for a

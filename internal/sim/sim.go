@@ -13,14 +13,10 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 )
 
 // Time is simulated time in seconds since the start of the run.
 type Time float64
-
-// Infinity is a time later than any schedulable event.
-const Infinity Time = Time(math.MaxFloat64)
 
 // String renders the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
@@ -146,27 +142,16 @@ func (e *Engine) RunUntil(horizon Time) {
 }
 
 // Periodic invokes h every period seconds starting at start, until the
-// returned cancel function is called or the run ends. The handler runs
-// with the tick's timestamp. Period must be positive.
-func (e *Engine) Periodic(start Time, period float64, label string, h Handler) (cancel func()) {
+// run ends. The handler runs with the tick's timestamp. Period must be
+// positive.
+func (e *Engine) Periodic(start Time, period float64, label string, h Handler) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v for %q", period, label))
 	}
-	stopped := false
-	var ev *Event
 	var tick Handler
 	tick = func(now Time) {
-		if stopped {
-			return
-		}
 		h(now)
-		if !stopped { // h may have cancelled us
-			ev = e.At(now+Time(period), label, tick)
-		}
+		e.At(now+Time(period), label, tick)
 	}
-	ev = e.At(start, label, tick)
-	return func() {
-		stopped = true
-		e.Cancel(ev)
-	}
+	e.At(start, label, tick)
 }

@@ -125,22 +125,6 @@ func TestPeriodic(t *testing.T) {
 	}
 }
 
-func TestPeriodicCancel(t *testing.T) {
-	e := New()
-	count := 0
-	var cancel func()
-	cancel = e.Periodic(0, 10, "c", func(now Time) {
-		count++
-		if count == 3 {
-			cancel()
-		}
-	})
-	e.RunUntil(1000)
-	if count != 3 {
-		t.Errorf("periodic fired %d times after self-cancel at 3", count)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(100, "x", func(Time) {})

@@ -20,10 +20,10 @@ var implicitMethods = map[string]bool{
 	"ServeHTTP": true, "Read": true, "Write": true,
 }
 
-// testOnlyAllowed are exported internal functions that only tests call
-// and that stay: each is a reference a test compares against or a
-// harness a test drives with. Keys are "<dir>.<Recv>.<Name>" or
-// "<dir>.<Name>".
+// testOnlyAllowed are exported internal functions, consts and vars that
+// only tests name and that stay: each is a reference a test compares
+// against or a harness a test drives with. Keys are
+// "<dir>.<Recv>.<Name>" or "<dir>.<Name>".
 var testOnlyAllowed = map[string]string{
 	"internal/core.PlacementController.Pipeline": "the phase list the pipeline tests run one phase at a time",
 	"internal/core.Plan.JobAssignments":          "the reference the api differential test holds FromCorePlan's job placements to",
@@ -34,11 +34,12 @@ var testOnlyAllowed = map[string]string{
 	"internal/rng.Stream.Shuffle":                "the seeded reordering the api differential tests check order-insensitivity with",
 }
 
-// TestInternalFuncsHaveShippedCallers fails when an exported function
-// or method under internal/ is named by no non-test code in the module
-// besides its own declaration: a function only tests call is code the
-// binaries ship but never run. Matching is by name, so a dead function
-// that shares its name with a live one goes unnoticed.
+// TestInternalFuncsHaveShippedCallers fails when an exported function,
+// method, or package-level const or var under internal/ is named by no
+// non-test code in the module besides its own declaration: a name only
+// tests use is code the binaries ship but never run. Matching is by
+// name, so a dead declaration that shares its name with a live one goes
+// unnoticed.
 func TestInternalFuncsHaveShippedCallers(t *testing.T) {
 	if len(testOnlyAllowed) > 12 {
 		t.Fatalf("allowlist has %d entries, at most 12 allowed", len(testOnlyAllowed))
@@ -65,23 +66,34 @@ func TestInternalFuncsHaveShippedCallers(t *testing.T) {
 			return err
 		}
 		names := map[*ast.Ident]bool{}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		dir := filepath.ToSlash(filepath.Dir(path)) + "."
+		declare := func(key string, id *ast.Ident) {
+			names[id] = true
+			if internal && id.IsExported() {
+				decls = append(decls, decl{key + id.Name, id.Name, fset.Position(id.Pos()).String()})
+			}
+		}
 		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok {
-				continue
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				if dd.Recv == nil {
+					declare(dir, dd.Name)
+				} else if implicitMethods[dd.Name.Name] {
+					names[dd.Name] = true
+				} else {
+					declare(dir+recvName(dd.Recv.List[0].Type)+".", dd.Name)
+				}
+			case *ast.GenDecl:
+				if dd.Tok != token.CONST && dd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range dd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						declare(dir, id)
+					}
+				}
 			}
-			names[fd.Name] = true
-			if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || !fd.Name.IsExported() {
-				continue
-			}
-			if fd.Recv != nil && implicitMethods[fd.Name.Name] {
-				continue
-			}
-			key := filepath.ToSlash(filepath.Dir(path)) + "."
-			if fd.Recv != nil {
-				key += recvName(fd.Recv.List[0].Type) + "."
-			}
-			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name, fset.Position(fd.Name.Pos()).String()})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !names[id] {
